@@ -32,7 +32,9 @@ from .data import (
     DummyEncoder,
     MeanImputer,
     load_csv,
+    load_split_part,
     load_splits,
+    read_split_manifest,
     save_splits,
     temporal_split,
     write_csv,
@@ -64,6 +66,10 @@ from .synth import make_credit_data, schema_for
 from .woe import save_woe_tables
 
 log = logging.getLogger("scorekit")
+
+# libyaml's loader when PyYAML was built with it: same constructor and
+# resolver as yaml.SafeLoader, and an order of magnitude faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_CONFIG = {
     "seed": 1,
@@ -145,7 +151,7 @@ def load_config(path=None, overrides=None) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         with open(path, encoding="utf-8") as fh:
-            user = yaml.safe_load(fh) or {}
+            user = yaml.load(fh, Loader=_YAML_LOADER) or {}
         config = _deep_merge(config, user)
     if overrides:
         config = _deep_merge(config, overrides)
@@ -454,19 +460,23 @@ def cmd_predict(args, config) -> int:
     return 0
 
 
-def _load_splits_checked(out_dir):
+def _split_dir_checked(out_dir) -> Path:
     split_dir = Path(out_dir) / "splits"
     if not (split_dir / "splits.json").exists():
         raise ScorekitError("no splits under %s; run `scorekit split` first" % out_dir)
-    return load_splits(split_dir)
+    return split_dir
+
+
+def _load_splits_checked(out_dir):
+    return load_splits(_split_dir_checked(out_dir))
 
 
 def _load_part(out_dir, part_name: str) -> Dataset:
-    splits, _ = _load_splits_checked(out_dir)
-    parts = splits.parts()
-    if part_name not in parts:
+    split_dir = _split_dir_checked(out_dir)
+    manifest = read_split_manifest(split_dir)
+    if part_name not in manifest["files"]:
         raise ScorekitError("unknown split part %r" % part_name)
-    return parts[part_name]
+    return load_split_part(split_dir, manifest, part_name)
 
 
 def cmd_explain(args, config) -> int:

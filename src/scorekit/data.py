@@ -441,18 +441,25 @@ def save_splits(splits: SplitSet, out_dir, schema: dict, params: dict,
     return manifest
 
 
+def read_split_manifest(split_dir) -> dict:
+    """The splits.json manifest written by save_splits."""
+    with open(Path(split_dir) / "splits.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_split_part(split_dir, manifest: dict, name: str) -> Dataset:
+    """Load one part of a SplitSet written by save_splits, reading only its CSV."""
+    return load_csv(
+        Path(split_dir) / manifest["files"][name],
+        manifest["schema"],
+        target=manifest["target"],
+        date_col=manifest["date_col"],
+    )
+
+
 def load_splits(split_dir) -> tuple[SplitSet, dict]:
     """Load a SplitSet written by save_splits."""
-    split_dir = Path(split_dir)
-    with open(split_dir / "splits.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    schema = manifest["schema"]
-    parts = {}
-    for name, fname in manifest["files"].items():
-        parts[name] = load_csv(
-            split_dir / fname,
-            schema,
-            target=manifest["target"],
-            date_col=manifest["date_col"],
-        )
+    manifest = read_split_manifest(split_dir)
+    parts = {name: load_split_part(split_dir, manifest, name)
+             for name in manifest["files"]}
     return SplitSet(**parts), manifest

@@ -36,3 +36,7 @@ class OneClassOnly(ScorekitError):
 
 class SingularHessian(ScorekitError):
     """Logistic solve failed even with the ridge stabilizer."""
+
+
+class NonFinite(ScorekitError):
+    """Scores handed to a metric contain NaN or infinite values."""

@@ -10,6 +10,12 @@ Four methods, all read-only over the model and the data:
 Partial dependence at a grid point is literally the mean of the ceteris
 paribus values of all background rows at that point; both run through the
 same substitution code so the identity holds to float roundoff.
+
+The substitutions of one explainer step (every permutation of one feature,
+every grid point of a profile, every candidate of a break-down step) are
+stacked into one `predict_proba` call. That relies on the row-wise contract
+of `Predictor.predict_proba`: a row's score does not depend on the other
+rows in the call, so for a model that keeps it stacking changes no value.
 """
 
 from __future__ import annotations
@@ -40,6 +46,33 @@ def _grid_from_spec(values: np.ndarray, grid_spec) -> np.ndarray:
 
 
 DEFAULT_GRID_POINTS = 21  # every 5th percentile
+
+# Largest number of cells (rows x columns) stacked into one predict_proba
+# call. Bounds the stacked matrix of a step; a larger step is split across
+# several calls.
+PREDICT_CELLS = 1 << 15
+
+
+def _predict_variants(model, X, variants) -> np.ndarray:
+    """Predictions of X under each of a list of column substitutions.
+
+    Variant k is a (columns, values) pair: a copy of X with
+    `copy[:, columns] = values`. Returns (len(variants), n_rows); row k
+    holds the predictions for variant k. Variants are tiled into stacked
+    matrices of at most PREDICT_CELLS cells, one predict_proba call each.
+    """
+    n, p = X.shape
+    per_call = max(1, PREDICT_CELLS // max(1, n * p))
+    out = np.empty((len(variants), n))
+    for start in range(0, len(variants), per_call):
+        chunk = variants[start:start + per_call]
+        stacked = np.empty((len(chunk), n, p))
+        stacked[:] = X
+        for block, (columns, values) in zip(stacked, chunk):
+            block[:, columns] = values
+        out[start:start + len(chunk)] = \
+            model.predict_proba(stacked.reshape(-1, p)).reshape(len(chunk), n)
+    return out
 
 
 def _feature_index(model, feature: str) -> int:
@@ -101,14 +134,14 @@ def permutation_importance(model, X, y, n_repeats: int = 10, seed: int = 0,
     names = list(model.feature_names) if features is None else list(features)
     baseline = auc(model.predict_proba(X), y)
     drops = np.empty((len(names), n_repeats))
-    Xp = X.copy()  # scratch copy; one column differs from X at a time
     for i, name in enumerate(names):
         j = _feature_index(model, name)
-        for r in range(n_repeats):
-            rng = np.random.default_rng((seed, j, r))
-            Xp[:, j] = X[rng.permutation(X.shape[0]), j]
-            drops[i, r] = baseline - auc(model.predict_proba(Xp), y)
-        Xp[:, j] = X[:, j]
+        shuffled = [
+            (j, X[np.random.default_rng((seed, j, r)).permutation(X.shape[0]), j])
+            for r in range(n_repeats)
+        ]
+        for r, preds in enumerate(_predict_variants(model, X, shuffled)):
+            drops[i, r] = baseline - auc(preds, y)
     return PfiResult(baseline_auc=baseline, features=names, drops=drops,
                      n_repeats=n_repeats, seed=seed)
 
@@ -136,16 +169,12 @@ class PdpProfile:
 def _profile_matrix(model, X, j: int, grid: np.ndarray) -> np.ndarray:
     """Predictions of every background row at every grid value of column j.
 
-    Returns (n_rows, n_grid); column g is the model on X with feature j
-    forced to grid[g].
+    Returns (n_rows, n_grid) in C order; column g is the model on X with
+    feature j forced to grid[g]. Callers reduce it with `.mean(axis=0)`,
+    whose summation order depends on this layout, so the layout is kept.
     """
-    n = X.shape[0]
-    out = np.empty((n, len(grid)))
-    for g, z in enumerate(grid):
-        Xg = X.copy()
-        Xg[:, j] = z
-        out[:, g] = model.predict_proba(Xg)
-    return out
+    preds = _predict_variants(model, X, [(j, z) for z in grid])
+    return np.ascontiguousarray(preds.T)
 
 
 def partial_dependence(model, X, feature: str,
@@ -259,18 +288,6 @@ def ceteris_paribus(model, instance, feature: str,
                      anchor=anchor)
 
 
-def cp_mean_equals_pdp(model, X, feature: str, grid) -> np.ndarray:
-    """Mean of per-row ceteris paribus values on an explicit grid.
-
-    Provided for the identity check: equals partial_dependence on the
-    same grid up to summation roundoff.
-    """
-    X = np.asarray(X, dtype=float)
-    j = _feature_index(model, feature)
-    grid = np.asarray(grid, dtype=float)
-    return _profile_matrix(model, X, j, grid).mean(axis=0)
-
-
 @dataclass
 class BreakDownResult:
     """Ordered additive decomposition of one prediction.
@@ -317,30 +334,28 @@ def break_down(model, background, instance, ordering="greedy") -> BreakDownResul
     p = len(names)
 
     final = float(model.predict_proba(instance.reshape(1, -1))[0])
+    intercept = float(np.mean(model.predict_proba(background)))
 
-    def value_of(fixed: list[int]) -> float:
-        if len(fixed) == p:
-            return final
-        if not fixed:
-            return float(np.mean(model.predict_proba(background)))
-        Xs = background.copy()
-        Xs[:, fixed] = instance[fixed]
-        return float(np.mean(model.predict_proba(Xs)))
-
-    intercept = value_of([])
+    def values_of(subsets: list[list[int]]) -> list[float]:
+        """v(S) for every S, in one stacked step; v(all features) is final."""
+        partial = [S for S in subsets if len(S) < p]
+        preds = _predict_variants(model, background,
+                                  [(S, instance[S]) for S in partial])
+        means = iter([float(np.mean(row)) for row in preds])
+        return [final if len(S) == p else next(means) for S in subsets]
 
     if ordering == "greedy":
         chosen: list[int] = []
-        remaining = list(range(p))
+        # ties by feature name: scan in name order
+        remaining = sorted(range(p), key=lambda k: names[k])
         current = intercept
         deltas: list[tuple[str, float]] = []
         while remaining:
             best_j = None
             best_value = None
             best_gap = -1.0
-            # ties by feature name: scan in name order
-            for j in sorted(remaining, key=lambda k: names[k]):
-                v = value_of(chosen + [j])
+            values = values_of([chosen + [j] for j in remaining])
+            for j, v in zip(remaining, values):
                 gap = abs(v - current)
                 if gap > best_gap:
                     best_gap, best_j, best_value = gap, j, v
@@ -353,15 +368,13 @@ def break_down(model, background, instance, ordering="greedy") -> BreakDownResul
         order = list(ordering)
         if sorted(order) != sorted(names):
             raise ValueError("ordering must list every model feature exactly once")
-        chosen = []
+        fixed = [names.index(name) for name in order]
+        values = values_of([fixed[:k + 1] for k in range(p)])
         current = intercept
         deltas = []
-        for name in order:
-            j = names.index(name)
-            v = value_of(chosen + [j])
+        for name, v in zip(order, values):
             deltas.append((name, v - current))
             current = v
-            chosen.append(j)
 
     return BreakDownResult(intercept=intercept, contributions=deltas,
                            final_prediction=final, order=order)

@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OneClassOnly
+from .errors import NonFinite, OneClassOnly
+
+
+def _check_finite(scores):
+    n_bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if n_bad:
+        raise NonFinite("%d of %d scores are not finite" % (n_bad, scores.size))
 
 
 def _check_two_classes(labels):
@@ -30,10 +36,11 @@ def auc(scores, labels) -> float:
 
     Fraction of (bad, good) pairs where the bad row scores higher, ties
     counted 0.5. Computed from tie-averaged ranks in O(n log n); exactly
-    equal to the O(n^2) pair count.
+    equal to the O(n^2) pair count. NaN or infinite scores raise NonFinite.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    _check_finite(scores)
     n_bad, n_good = _check_two_classes(labels)
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
@@ -54,10 +61,12 @@ def ks_statistic(scores, labels) -> float:
 
     Max over observed thresholds s of |ECDF_good(s) - ECDF_bad(s)|, by a
     single sorted sweep. Evaluated only at the last row of each tie group,
-    where both ECDFs are well defined.
+    where both ECDFs are well defined. NaN or infinite scores raise
+    NonFinite.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    _check_finite(scores)
     n_bad, n_good = _check_two_classes(labels)
     order = np.argsort(scores, kind="mergesort")
     s = scores[order]

@@ -23,7 +23,12 @@ class Predictor:
         self.feature_names = list(feature_names)
 
     def predict_proba(self, X) -> np.ndarray:
-        """Probability of bad (target 1) per row of X, columns = feature_names."""
+        """Probability of bad (target 1) per row of X, columns = feature_names.
+
+        Row-wise: a row's score must not depend on the other rows in the
+        call. The explainers rely on this when they stack many substituted
+        copies of a matrix into one call.
+        """
         raise NotImplementedError
 
     def score_dataset(self, dataset) -> np.ndarray:

@@ -18,7 +18,6 @@ from scorekit.data import temporal_split
 from scorekit.explain import (
     break_down,
     ceteris_paribus,
-    cp_mean_equals_pdp,
     partial_dependence,
     permutation_importance,
 )
@@ -36,6 +35,7 @@ from scorekit.selection import run_selection
 from scorekit.synth import make_credit_data
 
 from conftest import numeric_dataset
+from test_explain import cp_mean_equals_pdp
 from test_metrics import auc_pair_oracle, ks_brute_oracle
 from test_tree import best_split_oracle
 

@@ -160,6 +160,33 @@ class TestTrainPredictExplainReport:
         assert len(doc["mean_prediction"]) == len(doc["grid_a"])
         assert len(doc["mean_prediction"][0]) == len(doc["grid_b"])
 
+    def test_explain_reads_only_the_explained_part(self, pipeline_dir, capsys):
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", "logistic", "--config", cfg,
+                   "--out", pipeline_dir) == 0
+        for name in ("train", "out_of_sample", "out_of_time"):
+            (pipeline_dir / "splits" / ("%s.csv" % name)).unlink()
+        model = pipeline_dir / "model_logistic.json"
+        assert run("explain", "--what", "bd", "--instance", 2, "--model", model,
+                   "--config", cfg, "--out", pipeline_dir) == 0
+        code = run("explain", "--what", "bd", "--instance", 2, "--model", model,
+                   "--part", "validation", "--config", cfg, "--out", pipeline_dir)
+        assert code == 2
+        assert "unknown split part 'validation'" in capsys.readouterr().err
+
+    def test_non_finite_scores_exit_2(self, pipeline_dir, capsys):
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", "logistic", "--config", cfg,
+                   "--out", pipeline_dir) == 0
+        model = pipeline_dir / "model_logistic.json"
+        doc = json.loads(model.read_text())
+        doc["coefficients"][0] = float("nan")
+        model.write_text(json.dumps(doc))
+        code = run("explain", "--what", "pfi", "--model", model,
+                   "--config", cfg, "--out", pipeline_dir)
+        assert code == 2
+        assert "NonFinite" in capsys.readouterr().err
+
     def test_train_with_search_budget(self, pipeline_dir):
         cfg_doc = yaml.safe_load((pipeline_dir / "config.yaml").read_text())
         cfg_doc["search"]["budget"] = 3

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import yaml
 
-from scorekit.cli import DEFAULT_CONFIG, load_config
+from scorekit.cli import DEFAULT_CONFIG, _YAML_LOADER, _write_resolved_config, load_config
 
 
 def normalize(node):
@@ -36,3 +36,11 @@ def test_seed_flag_beats_config(tmp_path):
     user.write_text("seed: 5\n", encoding="utf-8")
     assert load_config(user)["seed"] == 5
     assert load_config(user, {"seed": 9})["seed"] == 9
+
+
+def test_config_loader_matches_safe_loader(tmp_path):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    resolved = _write_resolved_config(load_config(shipped), tmp_path)
+    for path in (shipped, resolved):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=_YAML_LOADER) == yaml.safe_load(text)

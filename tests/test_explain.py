@@ -3,16 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from scorekit import explain
 from scorekit.explain import (
     break_down,
     ceteris_paribus,
-    cp_mean_equals_pdp,
     partial_dependence,
     partial_dependence_2d,
     permutation_importance,
 )
+from scorekit.metrics import auc
 from scorekit.models import (
     LogisticModel,
+    Predictor,
     train_gbm,
     train_logistic,
     train_random_forest,
@@ -26,6 +28,172 @@ from conftest import ColumnModel, ConstantModel, numeric_dataset
 
 def checksum(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+# Reference explainers: one predict_proba call per substitution, no stacking.
+
+def naive_profile_matrix(model, X, j, grid):
+    out = np.empty((X.shape[0], len(grid)))
+    for g, z in enumerate(grid):
+        Xg = X.copy()
+        Xg[:, j] = z
+        out[:, g] = model.predict_proba(Xg)
+    return out
+
+
+def cp_mean_equals_pdp(model, X, feature, grid):
+    """Mean of per-row ceteris paribus values on an explicit grid.
+
+    Oracle for the identity check: equals partial_dependence on the same
+    grid up to summation roundoff.
+    """
+    X = np.asarray(X, dtype=float)
+    j = model.feature_names.index(feature)
+    return naive_profile_matrix(model, X, j, np.asarray(grid, dtype=float)).mean(axis=0)
+
+
+def naive_pfi_drops(model, X, y, n_repeats, seed):
+    baseline = auc(model.predict_proba(X), y)
+    drops = np.empty((X.shape[1], n_repeats))
+    for j in range(X.shape[1]):
+        for r in range(n_repeats):
+            rng = np.random.default_rng((seed, j, r))
+            Xp = X.copy()
+            Xp[:, j] = X[rng.permutation(X.shape[0]), j]
+            drops[j, r] = baseline - auc(model.predict_proba(Xp), y)
+    return drops
+
+
+def naive_pdp_2d(model, X, ja, jb, grid_a, grid_b):
+    surface = np.empty((len(grid_a), len(grid_b)))
+    for ga, za in enumerate(grid_a):
+        Xa = X.copy()
+        Xa[:, ja] = za
+        surface[ga] = naive_profile_matrix(model, Xa, jb, grid_b).mean(axis=0)
+    return surface
+
+
+def naive_break_down(model, background, instance, ordering):
+    """(intercept, [(name, delta)], final) by the sequential definition."""
+    names = list(model.feature_names)
+    p = len(names)
+
+    def value_of(fixed):
+        if len(fixed) == p:
+            return float(model.predict_proba(instance.reshape(1, -1))[0])
+        Xs = background.copy()
+        Xs[:, fixed] = instance[fixed]
+        return float(np.mean(model.predict_proba(Xs)))
+
+    current = intercept = value_of([])
+    chosen, deltas = [], []
+    if ordering == "greedy":
+        remaining = sorted(range(p), key=lambda k: names[k])
+        while remaining:
+            values = [value_of(chosen + [j]) for j in remaining]
+            gaps = [abs(v - current) for v in values]
+            k = gaps.index(max(gaps))
+            deltas.append((names[remaining[k]], values[k] - current))
+            current = values[k]
+            chosen.append(remaining.pop(k))
+    else:
+        for name in ordering:
+            chosen.append(names.index(name))
+            v = value_of(chosen)
+            deltas.append((name, v - current))
+            current = v
+    return intercept, deltas, value_of(list(range(p)))
+
+
+class CountingModel(Predictor):
+    """Passes predict_proba through to a wrapped model, counting calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner.feature_names)
+        self.inner = inner
+        self.calls = 0
+
+    def predict_proba(self, X):
+        self.calls += 1
+        return self.inner.predict_proba(X)
+
+
+@pytest.fixture(scope="module")
+def six_families():
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(80, 4))
+    y = (X[:, 0] - X[:, 2] + 0.5 * rng.normal(size=80) > 0).astype(int)
+    names = ["a", "b", "c", "d"]
+    dataset = numeric_dataset(dict(zip(names, X.T)), y)
+    models = [
+        train_logistic(X, y, feature_names=names),
+        train_woe_logistic(dataset, names, max_bins=4),
+        train_tree(X, y, max_depth=3, min_leaf=5, feature_names=names),
+        train_random_forest(X, y, n_trees=5, seed=0, feature_names=names),
+        train_gbm(X, y, n_trees=6, max_depth=2, min_leaf=5, feature_names=names),
+        train_xgb(X, y, n_trees=6, max_depth=2, feature_names=names),
+    ]
+    return X, y, models
+
+
+@pytest.mark.parametrize("budget", ["default", "split_steps"])
+def test_batched_equals_one_call_per_substitution(six_families, monkeypatch, budget):
+    X, y, models = six_families
+    if budget == "split_steps":
+        # two and a half variants of X per call: chunk boundaries fall
+        # inside every PFI, PDP and break-down step
+        monkeypatch.setattr(explain, "PREDICT_CELLS", 5 * X.size // 2)
+    grid = np.unique(np.quantile(X[:, 1], np.linspace(0, 1, 5)))
+    for model in models:
+        pfi = permutation_importance(model, X, y, n_repeats=3, seed=4)
+        assert np.array_equal(pfi.drops, naive_pfi_drops(model, X, y, 3, 4))
+
+        pdp = partial_dependence(model, X, "b", grid_spec=grid)
+        assert np.array_equal(pdp.mean_prediction, cp_mean_equals_pdp(model, X, "b", grid))
+
+        surface = partial_dependence_2d(model, X, "b", "c", grid_spec=5)
+        assert np.array_equal(surface.mean_prediction,
+                              naive_pdp_2d(model, X, 1, 2, *surface.grids))
+
+        # cp was one call before batching too; on a one-row background the
+        # stacked pdp builds the same matrix
+        cp = ceteris_paribus(model, X[3], "b", background=X)
+        one_row = partial_dependence(model, X[[3]], "b", grid_spec=cp.grid)
+        assert np.array_equal(cp.prediction, one_row.mean_prediction)
+
+        for ordering in ("greedy", ["d", "b", "a", "c"]):
+            bd = break_down(model, X, X[5], ordering=ordering)
+            intercept, deltas, final = naive_break_down(model, X, X[5], ordering)
+            assert bd.intercept == intercept
+            assert bd.contributions == deltas
+            assert bd.final_prediction == final
+
+
+def test_one_stacked_call_per_explainer_step(rng):
+    X = rng.normal(size=(30, 3))
+    y = (X[:, 0] > 0).astype(int)
+    y[:2] = [0, 1]
+    p = X.shape[1]
+    model = CountingModel(ColumnModel(["a", "b", "c"], weights=[1.0, 0.5, -0.2]))
+
+    partial_dependence(model, X, "a", grid_spec=7)
+    assert model.calls == 1
+
+    model.calls = 0
+    surface = partial_dependence_2d(model, X, "a", "b", grid_spec=5)
+    assert model.calls == len(surface.grids[0])
+
+    model.calls = 0
+    permutation_importance(model, X, y, n_repeats=4, seed=0)
+    assert model.calls == p + 1
+
+    model.calls = 0
+    break_down(model, X, X[0])
+    assert model.calls == p + 1
+
+    model.calls = 0
+    break_down(model, X, X[0], ordering=["c", "a", "b"])
+    assert model.calls == 3
 
 
 @pytest.fixture

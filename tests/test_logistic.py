@@ -68,3 +68,19 @@ class TestTrainLogistic:
     def test_one_class_rejected(self):
         with pytest.raises(ValueError):
             train_logistic(np.ones((4, 1)), np.ones(4))
+
+
+@pytest.mark.xfail(reason="X @ coefficients runs through BLAS gemv, whose kernel "
+                          "for a row depends on the row's position in the call; "
+                          "at 8+ features scores can differ in the last bit",
+                   strict=False)
+def test_predict_is_row_wise():
+    # the contract the stacked explainers rely on (Predictor.predict_proba)
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(7, 9))
+    model = LogisticModel(rng.normal(size=9), 0.3, ["x%d" % j for j in range(9)])
+    alone = model.predict_proba(X)
+    stacked = model.predict_proba(np.vstack([X] * 3)).reshape(3, -1)
+    one_by_one = [model.predict_proba(row)[0] for row in X]
+    assert (stacked == alone).all()
+    assert one_by_one == alone.tolist()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scorekit.data import SplitSet
-from scorekit.errors import OneClassOnly
+from scorekit.errors import NonFinite, OneClassOnly
 from scorekit.metrics import MetricReport, auc, evaluate, gini, ks_statistic
 
 from conftest import ColumnModel, numeric_dataset
@@ -45,6 +45,12 @@ class TestAuc:
     def test_one_class_raises(self):
         with pytest.raises(OneClassOnly):
             auc([0.1, 0.2], [1, 1])
+
+    def test_non_finite_scores_raise(self):
+        with pytest.raises(NonFinite, match="2 of 4"):
+            auc([np.nan, np.nan, 0.1, 0.2], [1, 0, 1, 0])
+        with pytest.raises(NonFinite, match="1 of 4"):
+            auc([np.inf, 0.3, 0.1, 0.2], [1, 0, 1, 0])
 
     def test_matches_pair_oracle_with_ties(self, rng):
         for _ in range(60):
@@ -93,6 +99,10 @@ class TestKs:
 
     def test_identical_distributions(self):
         assert ks_statistic([0.3, 0.7, 0.3, 0.7], [0, 0, 1, 1]) == 0.0
+
+    def test_non_finite_scores_raise(self):
+        with pytest.raises(NonFinite, match="2 of 4"):
+            ks_statistic([np.nan, 0.6, -np.inf, 0.8], [0, 0, 1, 1])
 
     def test_matches_brute_force(self, rng):
         for _ in range(60):
