@@ -447,15 +447,14 @@ def cmd_predict(args, config) -> int:
     schema = dcfg["schema"] or {name: NUMERIC for name in model.feature_names}
     dataset = load_csv(args.data, schema, target=dcfg["target"],
                        date_col=None, missing_token=dcfg["missing_token"],
-                       target_optional=True)
+                       target_optional=True, columns=model.feature_names)
     scores = model.score_dataset(dataset)
     out_path = Path(args.scores or (Path(args.out) / "scores.csv"))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "score"])
-        for i, s in enumerate(scores):
-            writer.writerow([i, repr(float(s))])
+        # the bytes csv.writer writes for these rows: floats never need quoting
+        fh.write("row,score\r\n" + "".join(
+            "%d,%r\r\n" % (i, s) for i, s in enumerate(scores.tolist())))
     print("wrote %s (%d scores)" % (out_path, len(scores)))
     return 0
 

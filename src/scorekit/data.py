@@ -10,9 +10,11 @@ a new Dataset and never touches the input arrays.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from .errors import (
     BadTarget,
     EmptyFile,
     EmptyPartition,
+    MalformedCsv,
     MissingColumn,
     UnknownColumn,
 )
@@ -164,68 +167,114 @@ def _parse_float(text: str, missing_token: str):
         return math.nan  # unparseable numeric cell counts as missing
 
 
+def _parse_numeric(cells: tuple, missing_token: str) -> np.ndarray:
+    """One numeric column; the same values as `_parse_float` on every cell.
+
+    Clean columns convert in one `np.fromiter` pass. A column where `float`
+    raises (blank or unparseable cells), or that holds a non-empty missing
+    token (which might parse, e.g. "-999"), takes the per-cell path.
+    """
+    if not (missing_token and missing_token in cells):
+        try:
+            return np.fromiter(map(float, cells), float, count=len(cells))
+        except ValueError:
+            pass
+    return np.array([_parse_float(c, missing_token) for c in cells], dtype=float)
+
+
+def _line_num(path: Path, row: int) -> int:
+    """`csv.reader.line_num` after reading data row `row` (0-based) of a file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, row + 2):  # header + rows 0..row
+            pass
+        return reader.line_num
+
+
 def load_csv(path, schema: dict, target: str = "target",
              date_col: str | None = None, missing_token: str = "",
-             target_optional: bool = False) -> Dataset:
+             target_optional: bool = False, columns=None) -> Dataset:
     """Load an RFC-4180 CSV with a header into a Dataset.
 
-    `schema` maps feature name -> "numeric" | "categorical". Header columns
-    not named in the schema (and not target/date) are ignored. Unparseable
-    numeric cells become missing; the target must be 0/1 for every row.
-    With target_optional (scoring data), an absent target column yields an
-    all-zero placeholder target.
+    `schema` maps feature name -> "numeric" | "categorical". Every schema
+    column, `date_col` and (unless target_optional) the target must be in
+    the header. Parsed into the Dataset are the schema columns named in
+    `columns` (all of them when None; names outside the schema are
+    skipped), in schema order, plus the target and date when present.
+    Other header columns are never parsed. Unparseable numeric cells become
+    missing; the target must be 0/1 for every row. With target_optional
+    (scoring data), an absent target column yields an all-zero placeholder
+    target. A row whose cell count differs from the header's, or an
+    unparseable date, raises MalformedCsv.
     """
     path = Path(path)
+    parsed = [name for name in schema if columns is None or name in columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyFile(str(path)) from None
-        rows = list(reader)
-    if not rows:
-        raise EmptyFile("%s has a header but no data rows" % path)
+        first = next(reader, None)
+        if first is None:
+            raise EmptyFile("%s has a header but no data rows" % path)
 
-    col_index = {name: i for i, name in enumerate(header)}
-    wanted = list(schema) + ([date_col] if date_col else [])
-    if not (target_optional and target not in col_index):
-        wanted.append(target)
-    for name in wanted:
-        if name not in col_index:
-            raise MissingColumn(name)
+        col_index = {name: i for i, name in enumerate(header)}
+        has_target = not (target_optional and target not in col_index)
+        wanted = list(schema) + ([date_col] if date_col else [])
+        for name in wanted + ([target] if has_target else []):
+            if name not in col_index:
+                raise MissingColumn(name)
+        for name, kind in schema.items():
+            if kind not in (NUMERIC, CATEGORICAL):
+                raise ValueError("schema kind for %s must be numeric or categorical, got %r"
+                                 % (name, kind))
+
+        # stream the rows, keeping only the cells of the parsed columns
+        keep = [col_index[name] for name in parsed]
+        keep += [col_index[target]] if has_target else []
+        keep += [col_index[date_col]] if date_col else []
+        pick = (operator.itemgetter(*keep) if len(keep) > 1
+                else lambda row: tuple(row[i] for i in keep))
+        width = len(header)
+        kept = []
+        for row in itertools.chain((first,), reader):
+            if len(row) != width:
+                raise MalformedCsv("%s line %d: %d cells, header has %d"
+                                   % (path, reader.line_num, len(row), width))
+            kept.append(pick(row))
+    n = len(kept)
+    cells = list(zip(*kept))  # one tuple per kept column
+    del kept
 
     features = []
-    for name, kind in schema.items():
-        i = col_index[name]
+    for name, col in zip(parsed, cells):
+        kind = schema[name]
         if kind == NUMERIC:
-            values = np.array([_parse_float(r[i], missing_token) for r in rows], dtype=float)
-        elif kind == CATEGORICAL:
-            values = np.array(
-                [None if r[i] == missing_token or r[i] == "" else r[i] for r in rows],
-                dtype=object,
-            )
+            values = _parse_numeric(col, missing_token)
         else:
-            raise ValueError("schema kind for %s must be numeric or categorical, got %r" % (name, kind))
+            values = np.array([None if c == missing_token or c == "" else c for c in col],
+                              dtype=object)
         features.append(Feature(name, kind, values))
 
-    if target in col_index:
-        ti = col_index[target]
-        target_vals = np.empty(len(rows), dtype=np.int64)
-        for r_i, r in enumerate(rows):
-            cell = r[ti].strip()
-            if cell == "0":
-                target_vals[r_i] = 0
-            elif cell == "1":
+    target_vals = np.zeros(n, dtype=np.int64)  # placeholder for scoring-only data
+    if has_target:
+        for r_i, cell in enumerate(cells[len(parsed)]):
+            code = cell.strip()
+            if code == "1":
                 target_vals[r_i] = 1
-            else:
-                raise BadTarget("row %d: target %r not in {0,1}" % (r_i, r[ti]))
-    else:
-        target_vals = np.zeros(len(rows), dtype=np.int64)  # scoring-only data
+            elif code != "0":
+                raise BadTarget("row %d: target %r not in {0,1}" % (r_i, cell))
 
     obs_date = None
     if date_col:
-        di = col_index[date_col]
-        obs_date = np.array([np.datetime64(r[di], "D") for r in rows])
+        obs_date = np.empty(n, dtype="datetime64[D]")
+        for r_i, cell in enumerate(cells[-1]):
+            try:
+                obs_date[r_i] = np.datetime64(cell, "D")
+            except ValueError:
+                raise MalformedCsv("%s line %d: date %r does not parse"
+                                   % (path, _line_num(path, r_i), cell)) from None
 
     return Dataset(features, target_vals, obs_date)
 

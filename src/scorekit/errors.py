@@ -40,3 +40,7 @@ class SingularHessian(ScorekitError):
 
 class NonFinite(ScorekitError):
     """Scores handed to a metric contain NaN or infinite values."""
+
+
+class MalformedCsv(ScorekitError):
+    """A CSV row has the wrong cell count, or a date cell does not parse."""

@@ -38,8 +38,8 @@ def train_logistic(X, y, tol: float = 1e-8, max_iter: int = 100,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.isnan(X).any():
-        raise ValueError("design matrix contains missing values")
+    if not np.isfinite(X).all():
+        raise ValueError("design matrix contains missing or infinite values")
     if len(np.unique(y)) < 2:
         raise ValueError("need both classes to fit a logistic model")
     n, p = X.shape

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -5,6 +7,8 @@ import pytest
 import yaml
 
 from scorekit.cli import main
+from scorekit.data import load_csv
+from scorekit.models import load_model
 
 
 def run(*argv):
@@ -57,6 +61,22 @@ class TestSynthSplitSelect:
         assert code == 2
         err = capsys.readouterr().err
         assert "MissingColumn" in err and "default" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,default,obs_date\n1,0,2018-01-01\n2,1\n", "bad.csv line 3: 2 cells, header has 3"),
+        ("a,default,obs_date\n1,0,2018-01-01\n2,1,2018-02-30\n",
+         "bad.csv line 3: date '2018-02-30' does not parse"),
+    ], ids=["short_row", "bad_date"])
+    def test_malformed_csv_exit_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "data": {"csv": str(bad), "schema": {"a": "numeric"}}}), encoding="utf-8")
+        code = run("split", "--config", cfg, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MalformedCsv" in err and message in err
 
     def test_selection_artifacts(self, pipeline_dir):
         report = json.loads((pipeline_dir / "selection.json").read_text())
@@ -198,6 +218,95 @@ class TestTrainPredictExplainReport:
         doc = json.loads((pipeline_dir / "model_tree.json").read_text())
         assert doc["train_config"]["search_budget"] == 3
         assert 2 <= doc["train_config"]["params"]["max_depth"] <= 4
+
+
+def rewrite_csv(src: Path, dst: Path, edit):
+    """Copy a CSV, passing the header and each row through edit(header, row)."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([edit(header, header)] + [edit(header, r) for r in rows])
+
+
+class TestPredictContract:
+    @pytest.fixture
+    def models(self, pipeline_dir):
+        cfg = pipeline_dir / "config.yaml"
+        for family in ("logistic", "logistic_woe"):
+            assert run("train", "--family", family, "--config", cfg,
+                       "--out", pipeline_dir) == 0
+        return [pipeline_dir / "model_logistic.json", pipeline_dir / "model_logistic_woe.json"]
+
+    def predict(self, pipeline_dir, model, data, name, config=None):
+        scores = pipeline_dir / name
+        code = run("predict", "--model", model, "--data", data, "--scores", scores,
+                   "--config", config or pipeline_dir / "config.yaml", "--out", pipeline_dir)
+        return code, scores
+
+    def test_scores_bytes_match_csv_writer(self, pipeline_dir, models):
+        # coefficients x1000 saturate the sigmoid: 1.0 and exponent-form reprs
+        doc = json.loads(models[0].read_text())
+        doc["coefficients"] = [1000.0 * c for c in doc["coefficients"]]
+        steep = pipeline_dir / "model_steep.json"
+        steep.write_text(json.dumps(doc))
+        data = pipeline_dir / "data.csv"
+        cfg = yaml.safe_load((pipeline_dir / "config.yaml").read_text())["data"]
+        dataset = load_csv(data, cfg["schema"], target=cfg["target"], target_optional=True)
+        for model in models + [steep]:
+            code, path = self.predict(pipeline_dir, model, data, "scores_%s.csv" % model.stem)
+            assert code == 0
+            reference = io.StringIO(newline="")
+            writer = csv.writer(reference)
+            writer.writerow(["row", "score"])
+            for i, s in enumerate(load_model(model).score_dataset(dataset)):
+                writer.writerow([i, repr(float(s))])
+            assert path.read_bytes() == reference.getvalue().encode("utf-8")
+        steep_scores = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+        assert "1.0" in steep_scores and any("e-" in s for s in steep_scores)
+
+    def test_garbage_in_unused_columns_gives_identical_scores(self, pipeline_dir, models):
+        data = pipeline_dir / "data.csv"
+        for model in models:
+            used = set(load_model(model).feature_names) | {"default", "obs_date"}
+            garbled = pipeline_dir / "garbled.csv"
+            rewrite_csv(data, garbled, lambda header, row: [
+                cell if name in used or row is header else "oops"
+                for name, cell in zip(header, row)])
+            code, clean = self.predict(pipeline_dir, model, data, "clean.csv")
+            assert code == 0
+            code, dirty = self.predict(pipeline_dir, model, garbled, "dirty.csv")
+            assert code == 0
+            assert dirty.read_bytes() == clean.read_bytes()
+
+    def test_schema_column_missing_from_header_exit_2(self, pipeline_dir, models, capsys):
+        used = set(load_model(models[0]).feature_names)
+        dropped = next(n for n in yaml.safe_load(
+            (pipeline_dir / "config.yaml").read_text())["data"]["schema"] if n not in used)
+        short = pipeline_dir / "short.csv"
+        rewrite_csv(pipeline_dir / "data.csv", short, lambda header, row: [
+            cell for name, cell in zip(header, row) if name != dropped])
+        code, _ = self.predict(pipeline_dir, models[0], short, "s.csv")
+        assert code == 2
+        assert "MissingColumn: %s" % dropped in capsys.readouterr().err
+
+    def test_model_feature_outside_schema_exit_2(self, pipeline_dir, models, capsys):
+        doc = yaml.safe_load((pipeline_dir / "config.yaml").read_text())
+        feature = load_model(models[0]).feature_names[0]
+        del doc["data"]["schema"][feature]
+        cfg = pipeline_dir / "narrow.yaml"
+        cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code, _ = self.predict(pipeline_dir, models[0], pipeline_dir / "data.csv", "s.csv",
+                               config=cfg)
+        assert code == 2
+        assert "UnknownColumn: %s" % feature in capsys.readouterr().err
+
+    def test_short_row_exit_2(self, pipeline_dir, models, capsys):
+        lines = (pipeline_dir / "data.csv").read_text().splitlines(keepends=True)
+        short = pipeline_dir / "short.csv"
+        short.write_text("".join(lines[:5]) + "1,2\n" + "".join(lines[5:]), encoding="utf-8")
+        code, _ = self.predict(pipeline_dir, models[0], short, "s.csv")
+        assert code == 2
+        assert "MalformedCsv: %s line 6: 2 cells" % short in capsys.readouterr().err
 
 
 CANONICAL_SKIP = ("config.yaml", "manifest.json")  # documented volatile files

@@ -1,7 +1,10 @@
+import csv
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorekit.data import (
     CATEGORICAL,
@@ -10,6 +13,7 @@ from scorekit.data import (
     DummyEncoder,
     Feature,
     MeanImputer,
+    _parse_float,
     dummy_encode,
     impute_mean,
     load_csv,
@@ -18,7 +22,14 @@ from scorekit.data import (
     temporal_split,
     write_csv,
 )
-from scorekit.errors import BadTarget, EmptyFile, EmptyPartition, MissingColumn, UnknownColumn
+from scorekit.errors import (
+    BadTarget,
+    EmptyFile,
+    EmptyPartition,
+    MalformedCsv,
+    MissingColumn,
+    UnknownColumn,
+)
 
 from conftest import numeric_dataset
 
@@ -76,6 +87,103 @@ class TestLoadCsv:
         path = csv_file("a\n1\n2\n")
         d = load_csv(path, {"a": NUMERIC}, target="def", target_optional=True)
         assert d.target.tolist() == [0, 0]
+
+    def test_error_precedence(self, csv_file):
+        # no data rows outranks a missing column; BadTarget names the 0-based row
+        with pytest.raises(EmptyFile):
+            load_csv(csv_file("b,def\n"), {"a": NUMERIC}, target="def")
+        with pytest.raises(BadTarget, match=r"^row 1: target '2 '"):
+            load_csv(csv_file("a,def\n1,0\n2,2 \n"), {"a": NUMERIC}, target="def")
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,def\n1,0\n2\n", 3),            # short row
+        ("a,def\n1,0\n2,1,9\n", 3),        # long row
+        ("a,def\n1,0\n\n2,1\n", 3),        # blank line
+        ('a,def\n"1\n",0\n2\n', 4),         # quoted newline: line, not row
+    ], ids=["short", "long", "blank", "quoted_newline"])
+    def test_wrong_cell_count_is_malformed(self, csv_file, text, line):
+        with pytest.raises(MalformedCsv, match=r"data\.csv line %d: " % line):
+            load_csv(csv_file(text), {"a": NUMERIC}, target="def")
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,def,when\n1,0,2018-01-02\n2,1,2018-13-45\n", 3),
+        ('a,def,when\n"1\n",0,2018-01-02\n2,1,soon\n', 4),
+    ], ids=["invalid_day", "quoted_newline"])
+    def test_bad_date_is_malformed(self, csv_file, text, line):
+        with pytest.raises(MalformedCsv, match=r"data\.csv line %d: date " % line):
+            load_csv(csv_file(text), {"a": NUMERIC}, target="def", date_col="when")
+
+    def test_columns_parses_only_named_schema_columns(self, csv_file):
+        path = csv_file("a,b,c,def\n1,x,oops,0\n2,y,,1\n")
+        schema = {"a": NUMERIC, "b": CATEGORICAL, "c": NUMERIC}
+        d = load_csv(path, schema, target="def", columns=["c", "a", "not_in_schema"])
+        assert d.feature_names == ["a", "c"]  # schema order
+        assert d.feature("a").values.tolist() == [1.0, 2.0]
+        assert np.isnan(d.feature("c").values).all()
+        # every declared schema column must still be in the header
+        with pytest.raises(MissingColumn):
+            load_csv(path, {"a": NUMERIC, "q": NUMERIC}, target="def", columns=["a"])
+
+
+def reference_load(path, schema, target, missing_token):
+    """The per-cell parse that load_csv must reproduce bit for bit."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    index = {name: i for i, name in enumerate(header)}
+    columns = {}
+    for name, kind in schema.items():
+        cells = [r[index[name]] for r in rows]
+        if kind == NUMERIC:
+            columns[name] = np.array([_parse_float(c, missing_token) for c in cells], dtype=float)
+        else:
+            columns[name] = [None if c == missing_token or c == "" else c for c in cells]
+    return columns, [int(r[index[target]].strip()) for r in rows]
+
+
+GARBAGE = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                  max_size=6)
+ODD_NUMBERS = st.sampled_from([
+    " 1.5", "2.5 ", "\t-3e2\n", "+4", "inf", "-inf", "Infinity", "nan", "-nan",
+    "NaN", "1_0", "1e400", ".5", "5.", "0x10", "-0.0",
+])
+MISSING_TOKENS = st.sampled_from(["", "NA", "-999", "0", "nan", " 1.5"])
+
+
+@st.composite
+def csv_tables(draw):
+    token = draw(MISSING_TOKENS)
+    cell = st.one_of(st.floats().map(repr), st.just(""), st.just(token),
+                     ODD_NUMBERS, GARBAGE)
+    n = draw(st.integers(1, 12))
+    header = ["x0", "x1", "x2", "cat", "unused", "def"]
+    rows = [[draw(cell) for _ in range(3)]
+            + [draw(st.one_of(GARBAGE, st.just(token))), draw(GARBAGE),
+               draw(st.sampled_from(["0", "1", " 0", "1 "]))]
+            for _ in range(n)]
+    columns = draw(st.one_of(st.none(), st.lists(st.sampled_from(header), max_size=4)))
+    return token, header, rows, columns
+
+
+SCHEMA = {"x0": NUMERIC, "x1": NUMERIC, "x2": NUMERIC, "cat": CATEGORICAL}
+
+
+@settings(deadline=None)
+@given(table=csv_tables())
+def test_load_csv_matches_per_cell_parse(tmp_path_factory, table):
+    token, header, rows, columns = table
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    expected, target = reference_load(path, SCHEMA, "def", token)
+    d = load_csv(path, SCHEMA, target="def", missing_token=token, columns=columns)
+    assert d.feature_names == [n for n in SCHEMA if columns is None or n in columns]
+    assert d.target.tolist() == target
+    for f in d.features:
+        if f.kind == NUMERIC:
+            assert f.values.dtype == np.float64
+            assert f.values.tobytes() == expected[f.name].tobytes()
+        else:
+            assert f.values.tolist() == expected[f.name]
 
 
 class TestDatasetInvariants:

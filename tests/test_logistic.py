@@ -65,6 +65,12 @@ class TestTrainLogistic:
         with pytest.raises(ValueError):
             train_logistic(X, np.array([0, 1]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_infinite_values(self, value):
+        X = np.array([[1.0], [value], [2.0], [0.5]])
+        with pytest.raises(ValueError, match="infinite"):
+            train_logistic(X, np.array([0, 1, 0, 1]))
+
     def test_one_class_rejected(self):
         with pytest.raises(ValueError):
             train_logistic(np.ones((4, 1)), np.ones(4))
