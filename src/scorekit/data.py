@@ -167,30 +167,6 @@ def _parse_float(text: str, missing_token: str):
         return math.nan  # unparseable numeric cell counts as missing
 
 
-def _parse_numeric(cells: tuple, missing_token: str) -> np.ndarray:
-    """One numeric column; the same values as `_parse_float` on every cell.
-
-    Clean columns convert in one `np.fromiter` pass. A column where `float`
-    raises (blank or unparseable cells), or that holds a non-empty missing
-    token (which might parse, e.g. "-999"), takes the per-cell path.
-    """
-    if not (missing_token and missing_token in cells):
-        try:
-            return np.fromiter(map(float, cells), float, count=len(cells))
-        except ValueError:
-            pass
-    return np.array([_parse_float(c, missing_token) for c in cells], dtype=float)
-
-
-def _line_num(path: Path, row: int) -> int:
-    """`csv.reader.line_num` after reading data row `row` (0-based) of a file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in itertools.islice(reader, row + 2):  # header + rows 0..row
-            pass
-        return reader.line_num
-
-
 def load_csv(path, schema: dict, target: str = "target",
              date_col: str | None = None, missing_token: str = "",
              target_optional: bool = False, columns=None) -> Dataset:
@@ -204,8 +180,9 @@ def load_csv(path, schema: dict, target: str = "target",
     Other header columns are never parsed. Unparseable numeric cells become
     missing; the target must be 0/1 for every row. With target_optional
     (scoring data), an absent target column yields an all-zero placeholder
-    target. A row whose cell count differs from the header's, or an
-    unparseable date, raises MalformedCsv.
+    target. A row whose cell count differs from the header's (named by its
+    line) or an unparseable date (named by its 0-based row, as BadTarget
+    names a bad target) raises MalformedCsv.
     """
     path = Path(path)
     parsed = [name for name in schema if columns is None or name in columns]
@@ -251,7 +228,7 @@ def load_csv(path, schema: dict, target: str = "target",
     for name, col in zip(parsed, cells):
         kind = schema[name]
         if kind == NUMERIC:
-            values = _parse_numeric(col, missing_token)
+            values = np.array([_parse_float(c, missing_token) for c in col], dtype=float)
         else:
             values = np.array([None if c == missing_token or c == "" else c for c in col],
                               dtype=object)
@@ -273,8 +250,8 @@ def load_csv(path, schema: dict, target: str = "target",
             try:
                 obs_date[r_i] = np.datetime64(cell, "D")
             except ValueError:
-                raise MalformedCsv("%s line %d: date %r does not parse"
-                                   % (path, _line_num(path, r_i), cell)) from None
+                raise MalformedCsv("%s row %d: date %r does not parse"
+                                   % (path, r_i, cell)) from None
 
     return Dataset(features, target_vals, obs_date)
 

@@ -65,7 +65,7 @@ class TestSynthSplitSelect:
     @pytest.mark.parametrize("text, message", [
         ("a,default,obs_date\n1,0,2018-01-01\n2,1\n", "bad.csv line 3: 2 cells, header has 3"),
         ("a,default,obs_date\n1,0,2018-01-01\n2,1,2018-02-30\n",
-         "bad.csv line 3: date '2018-02-30' does not parse"),
+         "bad.csv row 1: date '2018-02-30' does not parse"),
     ], ids=["short_row", "bad_date"])
     def test_malformed_csv_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
