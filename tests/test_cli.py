@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -359,3 +360,59 @@ class TestDeterminism:
             by_cmd.setdefault(entry["command"], []).append(entry["artifacts"])
         for cmd, artefact_maps in by_cmd.items():
             assert artefact_maps[0] == artefact_maps[1], cmd
+
+
+# sha256 of the tree-family artifacts of the small pipeline, recorded before
+# trees became preorder arrays; the array engine must reproduce every byte
+PINNED_SHA256 = {
+    1: {
+        "model_tree.json":
+            "39268c2d05a044fc326d68f6022784b9bab6bc945c951b0d3640bb469c4f3b82",
+        "model_forest.json":
+            "ec725e289e8e9a307ff78abd1db1a2f18cb37efbea9ff87bae92a307e3d37bc1",
+        "model_gbm.json":
+            "7af8c4bdcaf61cff46f31e5a8104c28162b661da6480f412c3fe747c75cb4b70",
+        "model_xgb.json":
+            "d9bb9a654ffcfffd1b76f781f5d420b88577ab895f12443e58fb656d9cb6fb3b",
+        "selection.json":
+            "2c8ae6f6d5b81a331c8acf28922c13ab79e974f236d515af4d71e0a535245c7e",
+    },
+    2: {
+        "model_tree.json":
+            "a3af82fe7abcd3aa63059cd803feb64efe8b2687ea83f3570631759a64dcb488",
+        "model_forest.json":
+            "7dd70439646e1c14da8078cd8327c548bca505f8612411be4022ff093634a2f1",
+        "model_gbm.json":
+            "b687c2786c994a811a7e90f84e3f28da8dfb93697ce9b97559200ee78e14c411",
+        "model_xgb.json":
+            "43dd4af1c532cb39fc5a5f75fbfe32db798fc751727ae1ca787d4732b11db10f",
+        "selection.json":
+            "793269b43d58d783ebc73b0ef9204fc8ce2479cd424c6348597686a7f8f53278",
+    },
+    3: {
+        "model_tree.json":
+            "34aba8330ee3597221b0fcd0b4ea9f3e97a63549bd3ebe56fa8430e8eca57c36",
+        "model_forest.json":
+            "19250f3d48fbbe3a5f56e9a8cd44b2834de65fcf75194e7d5e770ec6e5cd381f",
+        "model_gbm.json":
+            "4f82e76054f6dc56168cd9c43f2bb00fbe10c48835fc4780f12597ab5b4f9667",
+        "model_xgb.json":
+            "288d567ac61602804a6f2912d8053df443551f0bd6293ecfc5b86206e7979c5d",
+        "selection.json":
+            "8077c1af1389bbfacc17d8c21d0b877ea66f85aecfcbe517e11bd4867415e3a5",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tree_family_artifacts_pinned(tmp_path, small_config, seed):
+    out = tmp_path / "run"
+    assert run("synth", "--config", small_config, "--out", out, "--seed", seed) == 0
+    cfg = out / "config.yaml"
+    assert run("split", "--config", cfg, "--out", out) == 0
+    assert run("select", "--config", cfg, "--out", out) == 0
+    for family in ("tree", "forest", "gbm", "xgb"):
+        assert run("train", "--family", family, "--config", cfg, "--out", out) == 0
+    names = ["model_%s.json" % f for f in ("tree", "forest", "gbm", "xgb")] + ["selection.json"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    assert digests == PINNED_SHA256[seed]
