@@ -6,7 +6,7 @@ from .forest import ForestModel, train_random_forest
 from .io import load_model, model_from_dict, model_to_dict, save_model
 from .logistic import LogisticModel, train_logistic
 from .search import TrainConfig, random_search, sample_params
-from .tree import DecisionTree, Node, grow_tree, predict_tree, train_tree
+from .tree import DecisionTree, Tree, build_tree, predict_tree, train_tree
 from .woe_logistic import WoeLogisticModel, train_woe_logistic
 
 __all__ = [
@@ -17,8 +17,8 @@ __all__ = [
     "LogisticModel",
     "train_logistic",
     "DecisionTree",
-    "Node",
-    "grow_tree",
+    "Tree",
+    "build_tree",
     "predict_tree",
     "train_tree",
     "ForestModel",

@@ -14,13 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Predictor, sigmoid
-from .tree import (
-    Node,
-    accumulate_gains,
-    apply_leaves,
-    grow_tree,
-    predict_tree,
-)
+from .tree import Tree, build_tree, predict_tree, tree_leaves
 
 LEAF_CLIP = 4.0  # cap for leaves whose hessian sum vanishes
 
@@ -42,7 +36,7 @@ class BoostedModel(Predictor):
                  variant="gbm", lam=0.0, gamma=0.0, params=None):
         super().__init__(feature_names)
         self.initial_score = float(initial_score)
-        self.trees: list[Node] = list(trees)
+        self.trees: list[Tree] = list(trees)
         self.learning_rate = float(learning_rate)
         self.variant = variant
         self.lam = lam
@@ -55,8 +49,8 @@ class BoostedModel(Predictor):
     def decision_function(self, X) -> np.ndarray:
         X = self._as_matrix(X)
         score = np.full(X.shape[0], self.initial_score)
-        for root in self.trees:
-            score += self.learning_rate * predict_tree(root, X)
+        for tree in self.trees:
+            score += self.learning_rate * predict_tree(tree, X)
         return score
 
     def predict_proba(self, X) -> np.ndarray:
@@ -95,23 +89,22 @@ def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
         rng = np.random.default_rng((seed, t))
         rows = _subsample_rows(rng, n, subsample)
         Xs = X[rows]
-        root = grow_tree(Xs, resid[rows], objective="mse",
-                         max_depth=max_depth, min_leaf=min_leaf)
+        tree = build_tree(Xs, resid[rows], objective="mse",
+                          max_depth=max_depth, min_leaf=min_leaf)
 
         weight = (prob * (1.0 - prob))[rows]
         r_sub = resid[rows]
-
-        def newton(leaf, idx):
+        leaf_of = tree_leaves(tree, Xs)
+        for k in np.flatnonzero(tree.left < 0):
+            idx = np.flatnonzero(leaf_of == k)  # ascending rows: a fixed summation order
             num = float(np.sum(r_sub[idx]))
             den = float(np.sum(weight[idx]))
             if den <= 1e-12:
-                leaf.value = 0.0 if num == 0.0 else np.copysign(LEAF_CLIP, num)
+                tree.value[k] = 0.0 if num == 0.0 else np.copysign(LEAF_CLIP, num)
             else:
-                leaf.value = num / den
-
-        apply_leaves(root, Xs, newton)
-        trees.append(root)
-        score = score + learning_rate * predict_tree(root, X)
+                tree.value[k] = num / den
+        trees.append(tree)
+        score = score + learning_rate * predict_tree(tree, X)
         losses.append(log_loss(y, sigmoid(score)))
 
     model = BoostedModel(f0, trees, learning_rate, feature_names,
@@ -121,15 +114,6 @@ def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
                                  "seed": seed})
     model.train_loss_ = losses
     return model
-
-
-def _remap_features(root: Node, cols: np.ndarray):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            node.feature = int(cols[node.feature])
-            stack.extend((node.left, node.right))
 
 
 def train_xgb(X, y, n_trees=100, learning_rate=0.1, max_depth=3, lam=1.0,
@@ -164,13 +148,21 @@ def train_xgb(X, y, n_trees=100, learning_rate=0.1, max_depth=3, lam=1.0,
             cols = np.sort(rng.choice(p, size=k, replace=False))
         else:
             cols = np.arange(p)
-        root = grow_tree(X[np.ix_(rows, cols)], grad[rows], hess[rows],
-                         objective="grad", max_depth=max_depth, min_leaf=1,
-                         lam=lam, gamma=gamma)
-        _remap_features(root, cols)
-        accumulate_gains(root, gains)
-        trees.append(root)
-        score = score + learning_rate * predict_tree(root, X)
+        tree = build_tree(X[np.ix_(rows, cols)], grad[rows], hess[rows],
+                          objective="grad", max_depth=max_depth, min_leaf=1,
+                          lam=lam, gamma=gamma)
+        internal = tree.left >= 0
+        tree.feature[internal] = cols[tree.feature[internal]]
+        # add gains in one fixed order (root, then the right subtree before
+        # the left): float sums depend on it, and feature_gain_ ranks features
+        stack = [0]
+        while stack:
+            k = stack.pop()
+            if internal[k]:
+                gains[tree.feature[k]] += tree.gain[k]
+                stack += (tree.left[k], tree.right[k])
+        trees.append(tree)
+        score = score + learning_rate * predict_tree(tree, X)
         losses.append(log_loss(y, sigmoid(score)))
 
     model = BoostedModel(f0, trees, learning_rate, feature_names,

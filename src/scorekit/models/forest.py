@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .base import Predictor
-from .tree import Node, grow_tree, predict_tree
+from .tree import Tree, build_tree, predict_tree
 
 
 class ForestModel(Predictor):
@@ -23,7 +23,7 @@ class ForestModel(Predictor):
     def __init__(self, trees, feature_names, n_trees, mtry, seed,
                  max_depth=None, min_leaf=1, bootstrap=True, hard_vote=False):
         super().__init__(feature_names)
-        self.trees: list[Node] = list(trees)
+        self.trees: list[Tree] = list(trees)
         self.n_trees = n_trees
         self.mtry = mtry
         self.seed = seed
@@ -35,8 +35,8 @@ class ForestModel(Predictor):
     def predict_proba(self, X) -> np.ndarray:
         X = self._as_matrix(X)
         votes = np.zeros(X.shape[0])
-        for root in self.trees:
-            leaf = predict_tree(root, X)
+        for tree in self.trees:
+            leaf = predict_tree(tree, X)
             votes += (leaf > 0.5).astype(float) if self.hard_vote else leaf
         return votes / len(self.trees)
 
@@ -65,9 +65,9 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
             rows = rng.integers(0, n, size=n)
         else:
             rows = np.arange(n)
-        return grow_tree(X[rows], y[rows], objective="gini",
-                         max_depth=max_depth, min_leaf=min_leaf,
-                         mtry=mtry, rng=rng)
+        return build_tree(X[rows], y[rows], objective="gini",
+                          max_depth=max_depth, min_leaf=min_leaf,
+                          mtry=mtry, rng=rng)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -39,7 +39,7 @@ def model_to_dict(model, train_config: dict | None = None) -> dict:
     elif isinstance(model, LogisticModel):
         doc.update(_logistic_block(model))
     elif isinstance(model, DecisionTree):
-        doc["nodes"] = tree_to_flat(model.root)
+        doc["nodes"] = tree_to_flat(model.tree)
         doc["max_depth"] = model.max_depth
         doc["min_leaf"] = model.min_leaf
         doc["objective"] = model.objective

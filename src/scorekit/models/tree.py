@@ -11,6 +11,11 @@ sort each column, prefix-sum the targets, and score every boundary
 between distinct adjacent values in one shot. Ties go to the first
 (lowest feature index, lowest threshold) candidate, which keeps trees
 deterministic regardless of thread count.
+
+A tree is a `Tree` of parallel node arrays in preorder, left child first:
+the order of the v1 JSON node list, so `tree_to_flat` / `tree_from_flat`
+only convert between records and arrays. `tree_leaves` is the one walk
+over a tree; prediction reads the leaf values it finds.
 """
 
 from __future__ import annotations
@@ -22,19 +27,29 @@ import numpy as np
 from .base import Predictor
 
 
-@dataclass
-class Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "Node | None" = None
-    right: "Node | None" = None
-    value: float = 0.0
-    n_samples: int = 0
-    gain: float = 0.0
+@dataclass(eq=False)
+class Tree:
+    """A binary tree as parallel arrays, one entry per node, in the order of
+    the v1 JSON node list: preorder, left child first, root at 0.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    Node k is a leaf when left[k] < 0. Internal nodes send a row to
+    left[k] when x[feature[k]] <= threshold[k] and to right[k] otherwise;
+    gain[k] is the realized split gain. value[k] is the node's fitted
+    value and n[k] its training row count (both kept for internal nodes).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    gain: np.ndarray
+
+
+# the arrays in field order, with the entry a leaf holds (its type is the dtype)
+LEAF_DEFAULTS = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+                 "value": 0.0, "n": 0, "gain": 0.0}
 
 
 def _boundary_stats(Xn, a, b=None):
@@ -128,7 +143,7 @@ def _leaf_value(objective, a, b, lam):
     return float(np.mean(a))
 
 
-def grow_tree(
+def build_tree(
     X,
     a,
     b=None,
@@ -139,12 +154,15 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     lam: float = 0.0,
     gamma: float = 0.0,
-) -> Node:
+) -> Tree:
     """Grow a CART tree greedily. `a` is the target (y, residuals, or
     gradients); `b` is the hessian column for the "grad" objective.
 
     Built iteratively with an explicit stack so fully grown trees cannot
-    hit the interpreter recursion limit.
+    hit the interpreter recursion limit. A node is numbered when it is
+    popped; the left child is popped right after its parent, so the
+    numbering is preorder, left child first, and a right child fills in
+    its parent's `right` when its turn comes.
     """
     X = np.asarray(X, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -155,14 +173,16 @@ def grow_tree(
     if use_mtry and rng is None:
         raise ValueError("mtry sampling needs an rng")
 
-    root = Node()
-    stack = [(np.arange(n), 0, root)]
+    nodes = []  # v1 node records, in the order they are numbered
+    stack = [(np.arange(n), 0, None)]  # rows, depth, parent awaiting its right child
     while stack:
-        idx, depth, node = stack.pop()
+        idx, depth, parent = stack.pop()
+        if parent is not None:
+            parent["right"] = len(nodes)
         a_n = a[idx]
         b_n = None if b is None else b[idx]
-        node.n_samples = len(idx)
-        node.value = _leaf_value(objective, a_n, b_n, lam)
+        node = {"value": _leaf_value(objective, a_n, b_n, lam), "n": len(idx)}
+        nodes.append(node)
         if max_depth is not None and depth >= max_depth:
             continue
         if objective in ("gini", "mse") and np.ptp(a_n) == 0.0:
@@ -176,108 +196,57 @@ def grow_tree(
         if found is None:
             continue
         j, threshold, gain = found
-        node.feature = int(cols[j])
-        node.threshold = threshold
-        node.gain = gain
-        node.left = Node()
-        node.right = Node()
-        mask = X[idx, node.feature] <= threshold
-        stack.append((idx[~mask], depth + 1, node.right))
-        stack.append((idx[mask], depth + 1, node.left))
-    return root
+        node.update(feature=int(cols[j]), threshold=threshold, gain=gain,
+                    left=len(nodes), right=-1)
+        mask = X[idx, node["feature"]] <= threshold
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, None))
+    return tree_from_flat(nodes)
 
 
-def predict_tree(root: Node, X) -> np.ndarray:
-    """Route every row of X to its leaf value (iterative, vectorized)."""
+def tree_leaves(tree: Tree, X) -> np.ndarray:
+    """The node id of the leaf each row of X lands in (iterative, vectorized).
+
+    A row goes left when its value is <= the threshold, so NaN goes right.
+    """
     X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
+    out = np.empty(X.shape[0], dtype=np.int64)
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
-        node, idx = stack.pop()
+        k, idx = stack.pop()
         if len(idx) == 0:
             continue
-        if node.is_leaf:
-            out[idx] = node.value
+        if left[k] < 0:
+            out[idx] = k
         else:
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+            mask = X[idx, feature[k]] <= threshold[k]
+            stack.append((left[k], idx[mask]))
+            stack.append((right[k], idx[~mask]))
     return out
 
 
-def apply_leaves(root: Node, X, fn):
-    """Call fn(leaf_node, row_indices) for every leaf X rows land in."""
-    X = np.asarray(X, dtype=float)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            fn(node, idx)
-        else:
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+def predict_tree(tree: Tree, X) -> np.ndarray:
+    """Route every row of X to its leaf value."""
+    return tree.value[tree_leaves(tree, X)]
 
 
-def accumulate_gains(root: Node, out: np.ndarray):
-    """Add each internal node's realized split gain onto out[feature]."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            out[node.feature] += node.gain
-            stack.append(node.left)
-            stack.append(node.right)
-
-
-def tree_to_flat(root: Node) -> list[dict]:
-    """Preorder flat encoding with child indices (safe for any depth)."""
-    nodes = []
-    stack = [(root, None, None)]
-    while stack:
-        node, parent_pos, side = stack.pop()
-        pos = len(nodes)
-        rec = {"value": node.value, "n": node.n_samples}
-        if not node.is_leaf:
-            rec.update(feature=node.feature, threshold=node.threshold, gain=node.gain,
-                       left=-1, right=-1)
-        nodes.append(rec)
-        if parent_pos is not None:
-            nodes[parent_pos][side] = pos
-        if not node.is_leaf:
-            stack.append((node.right, pos, "right"))
-            stack.append((node.left, pos, "left"))
-    return nodes
-
-
-def tree_from_flat(nodes: list[dict]) -> Node:
-    built = [
-        Node(
-            feature=rec.get("feature", -1),
-            threshold=rec.get("threshold", 0.0),
-            value=rec["value"],
-            n_samples=rec.get("n", 0),
-            gain=rec.get("gain", 0.0),
-        )
-        for rec in nodes
+def tree_to_flat(tree: Tree) -> list[dict]:
+    """The v1 JSON node list: one record per node, in the arrays' order."""
+    columns = zip(*(getattr(tree, name).tolist() for name in LEAF_DEFAULTS))
+    return [
+        {"value": v, "n": n} if l < 0 else
+        {"value": v, "n": n, "feature": f, "threshold": t, "gain": g, "left": l, "right": r}
+        for f, t, l, r, v, n, g in columns
     ]
-    for rec, node in zip(nodes, built):
-        if "feature" in rec:
-            node.left = built[rec["left"]]
-            node.right = built[rec["right"]]
-    return built[0]
 
 
-def count_leaves(root: Node) -> int:
-    total = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            total += 1
-        else:
-            stack.extend((node.left, node.right))
-    return total
+def tree_from_flat(nodes: list[dict]) -> Tree:
+    """Arrays from v1 node records; leaf records take LEAF_DEFAULTS."""
+    return Tree(**{name: np.array([rec.get(name, default) for rec in nodes],
+                                  dtype=type(default))
+                   for name, default in LEAF_DEFAULTS.items()})
 
 
 class DecisionTree(Predictor):
@@ -285,16 +254,16 @@ class DecisionTree(Predictor):
 
     model_kind = "tree"
 
-    def __init__(self, root: Node, feature_names, max_depth=None, min_leaf=1,
+    def __init__(self, tree: Tree, feature_names, max_depth=None, min_leaf=1,
                  objective="gini"):
         super().__init__(feature_names)
-        self.root = root
+        self.tree = tree
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.objective = objective
 
     def predict_proba(self, X) -> np.ndarray:
-        return predict_tree(self.root, self._as_matrix(X))
+        return predict_tree(self.tree, self._as_matrix(X))
 
 
 def train_tree(X, y, max_depth=None, min_leaf=1, objective="gini",
@@ -303,7 +272,7 @@ def train_tree(X, y, max_depth=None, min_leaf=1, objective="gini",
     X = np.asarray(X, dtype=float)
     if feature_names is None:
         feature_names = ["x%d" % j for j in range(X.shape[1])]
-    root = grow_tree(X, np.asarray(y, dtype=float), objective=objective,
-                     max_depth=max_depth, min_leaf=min_leaf)
-    return DecisionTree(root, feature_names, max_depth=max_depth,
+    tree = build_tree(X, np.asarray(y, dtype=float), objective=objective,
+                      max_depth=max_depth, min_leaf=min_leaf)
+    return DecisionTree(tree, feature_names, max_depth=max_depth,
                         min_leaf=min_leaf, objective=objective)

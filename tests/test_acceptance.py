@@ -30,7 +30,7 @@ from scorekit.models import (
     train_woe_logistic,
     train_xgb,
 )
-from scorekit.models.tree import grow_tree, leaf_weight_grad
+from scorekit.models.tree import build_tree, leaf_weight_grad
 from scorekit.selection import run_selection
 from scorekit.synth import make_credit_data
 
@@ -316,9 +316,9 @@ def test_criterion_11_trainer_correctness(rng):
 
     # second-order leaf weights match -G/(H+lambda) exactly
     leaf_ok = leaf_weight_grad(2.0, 3.0, 1.0) == -0.5
-    root = grow_tree(np.zeros((3, 1)), np.array([1.0, 0.5, 0.5]),
-                     np.array([1.0, 1.0, 1.0]), objective="grad", lam=1.0)
-    leaf_ok = leaf_ok and root.is_leaf and root.value == -2.0 / 4.0
+    tree = build_tree(np.zeros((3, 1)), np.array([1.0, 0.5, 0.5]),
+                      np.array([1.0, 1.0, 1.0]), objective="grad", lam=1.0)
+    leaf_ok = leaf_ok and tree.left[0] < 0 and tree.value[0] == -2.0 / 4.0
 
     # greedy split equals exhaustive enumeration on small fixtures
     split_ok = True
@@ -329,11 +329,11 @@ def test_criterion_11_trainer_correctness(rng):
         if y_small.min() == y_small.max():
             y_small[0] = 1 - y_small[0]
         oracle = best_split_oracle(X, y_small)
-        root = grow_tree(X, y_small, objective="gini", max_depth=1)
+        tree = build_tree(X, y_small, objective="gini", max_depth=1)
         if oracle is None or oracle[0] <= 1e-12:
-            split_ok = split_ok and root.is_leaf
+            split_ok = split_ok and tree.left[0] < 0
         else:
-            split_ok = split_ok and not root.is_leaf \
-                and abs(root.gain - oracle[0]) <= 1e-12
+            split_ok = split_ok and tree.left[0] >= 0 \
+                and abs(tree.gain[0] - oracle[0]) <= 1e-12
     criterion(11, "trainer correctness", intercept_ok and leaf_ok and split_ok,
               "intercept|leaf|split = %s|%s|%s" % (intercept_ok, leaf_ok, split_ok))

@@ -3,7 +3,7 @@ import pytest
 
 from scorekit.models import train_gbm, train_xgb
 from scorekit.models.boosting import log_loss, log_odds
-from scorekit.models.tree import grow_tree, leaf_weight_grad, split_gain_grad
+from scorekit.models.tree import build_tree, leaf_weight_grad, split_gain_grad
 
 
 @pytest.fixture
@@ -54,14 +54,14 @@ class TestGbm:
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1.0])
         model = train_gbm(X, y, n_trees=60, learning_rate=1.0, max_depth=1, min_leaf=1)
-        for root in model.trees:
-            stack = [root]
+        for tree in model.trees:
+            stack = [0]
             while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    assert abs(node.value) <= 4.0
+                k = stack.pop()
+                if tree.left[k] < 0:
+                    assert abs(tree.value[k]) <= 4.0
                 else:
-                    stack.extend((node.left, node.right))
+                    stack.extend((tree.left[k], tree.right[k]))
 
     def test_sigmoid_applied_once(self, separable):
         X, y = separable
@@ -76,9 +76,9 @@ class TestXgb:
 
     def test_leaf_weight_through_tree(self):
         # one row, no possible split: leaf takes -G/(H+lam) directly
-        root = grow_tree(np.array([[0.0]]), np.array([2.0]), np.array([3.0]),
-                         objective="grad", lam=1.0)
-        assert root.is_leaf and root.value == -0.5
+        tree = build_tree(np.array([[0.0]]), np.array([2.0]), np.array([3.0]),
+                          objective="grad", lam=1.0)
+        assert tree.left[0] < 0 and tree.value[0] == -0.5
 
     def test_gain_formula_cross_check(self, rng):
         for _ in range(20):
@@ -97,20 +97,20 @@ class TestXgb:
                                            g[~mask].sum(), h[~mask].sum(), lam, gamma)
                     if best is None or gain > best[0] + 1e-15:
                         best = (gain, j, thr)
-            root = grow_tree(X, g, h, objective="grad", max_depth=1, lam=lam, gamma=gamma)
+            tree = build_tree(X, g, h, objective="grad", max_depth=1, lam=lam, gamma=gamma)
             if best[0] <= 0.0:
-                assert root.is_leaf
+                assert tree.left[0] < 0
             else:
-                assert not root.is_leaf
-                assert root.gain == pytest.approx(best[0], abs=1e-10)
-                assert np.array_equal(X[:, root.feature] <= root.threshold,
+                assert tree.left[0] >= 0
+                assert tree.gain[0] == pytest.approx(best[0], abs=1e-10)
+                assert np.array_equal(X[:, tree.feature[0]] <= tree.threshold[0],
                                       X[:, best[1]] <= best[2])
 
     def test_large_gamma_single_leaf_trees(self, rng):
         X = rng.normal(size=(100, 2))
         y = (X[:, 0] > 0).astype(float)
         model = train_xgb(X, y, n_trees=5, gamma=1e6)
-        assert all(root.is_leaf for root in model.trees)
+        assert all(tree.left[0] < 0 for tree in model.trees)
         # with every tree a single leaf the prediction stays at the base rate
         assert np.allclose(model.predict_proba(X), y.mean(), atol=1e-9)
 
