@@ -176,13 +176,13 @@ def load_csv(path, schema: dict, target: str = "target",
     column, `date_col` and (unless target_optional) the target must be in
     the header. Parsed into the Dataset are the schema columns named in
     `columns` (all of them when None; names outside the schema are
-    skipped), in schema order, plus the target and date when present.
-    Other header columns are never parsed. Unparseable numeric cells become
-    missing; the target must be 0/1 for every row. With target_optional
-    (scoring data), an absent target column yields an all-zero placeholder
-    target. A row whose cell count differs from the header's (named by its
-    line) or an unparseable date (named by its 0-based row, as BadTarget
-    names a bad target) raises MalformedCsv.
+    skipped), in schema order, plus the target and the date. Other header
+    columns are never parsed. Unparseable numeric cells become missing; the
+    target must be 0/1 for every row. With target_optional (scoring data)
+    the target column is never read, present or not, and the Dataset holds
+    an all-zero placeholder target. A row whose cell count differs from
+    the header's (named by its line) or an unparseable date (named by its
+    0-based row, as BadTarget names a bad target) raises MalformedCsv.
     """
     path = Path(path)
     parsed = [name for name in schema if columns is None or name in columns]
@@ -197,7 +197,7 @@ def load_csv(path, schema: dict, target: str = "target",
             raise EmptyFile("%s has a header but no data rows" % path)
 
         col_index = {name: i for i, name in enumerate(header)}
-        has_target = not (target_optional and target not in col_index)
+        has_target = not target_optional
         wanted = list(schema) + ([date_col] if date_col else [])
         for name in wanted + ([target] if has_target else []):
             if name not in col_index:

@@ -44,3 +44,8 @@ class NonFinite(ScorekitError):
 
 class MalformedCsv(ScorekitError):
     """A CSV row has the wrong cell count, or a date cell does not parse."""
+
+
+class NoMissingBin(ScorekitError):
+    """A WOE-binned column has missing values, but its bins were fitted
+    on data without any, so there is no missing bin to put them in."""

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Dataset, Feature
+from .errors import NoMissingBin
 
 OTHER_LEVEL = "__OTHER__"  # pool for rare categorical levels
 
@@ -35,14 +36,16 @@ class BinningSpec:
     degenerate: bool = False
 
     def assign(self, values) -> np.ndarray:
-        """Bin id per value; every value (including missing) lands somewhere."""
+        """Bin id per value. Every categorical value lands somewhere; a
+        missing numeric value needs a missing bin (NoMissingBin if none)."""
         if self.kind == NUMERIC:
             values = np.asarray(values, dtype=float)
             out = np.searchsorted(self.cut_points, values, side="left")
             missing = np.isnan(values)
             if missing.any():
                 if self.missing_bin is None:
-                    raise ValueError("%s: missing values but no missing bin" % self.feature)
+                    raise NoMissingBin("%s: %d missing values, but the WOE bins were fitted "
+                                       "without a missing bin" % (self.feature, missing.sum()))
                 out = out.astype(int)
                 out[missing] = self.missing_bin
             return out.astype(int)

@@ -309,6 +309,30 @@ class TestPredictContract:
         assert code == 2
         assert "MalformedCsv: %s line 6: 2 cells" % short in capsys.readouterr().err
 
+    def test_blank_target_is_never_read(self, pipeline_dir, models):
+        # scoring data for new applicants has no outcome yet
+        data = pipeline_dir / "data.csv"
+        unknown = pipeline_dir / "unknown_outcome.csv"
+        rewrite_csv(data, unknown, lambda header, row: [
+            "" if name == "default" and row is not header else cell
+            for name, cell in zip(header, row)])
+        for model in models:
+            code, known = self.predict(pipeline_dir, model, data, "known.csv")
+            assert code == 0
+            code, blank = self.predict(pipeline_dir, model, unknown, "blank.csv")
+            assert code == 0
+            assert blank.read_bytes() == known.read_bytes()
+
+    def test_woe_missing_cell_without_missing_bin_exit_2(self, pipeline_dir, models, capsys):
+        feature = load_model(models[1]).feature_names[0]
+        holed = pipeline_dir / "holed.csv"
+        rewrite_csv(pipeline_dir / "data.csv", holed, lambda header, row: [
+            "" if name == feature and row is not header else cell
+            for name, cell in zip(header, row)])
+        code, _ = self.predict(pipeline_dir, models[1], holed, "s.csv")
+        assert code == 2
+        assert "NoMissingBin: %s: 1500 missing values" % feature in capsys.readouterr().err
+
 
 CANONICAL_SKIP = ("config.yaml", "manifest.json")  # documented volatile files
 
