@@ -47,9 +47,10 @@ class Tree:
     gain: np.ndarray
 
 
-# the arrays in field order, with the entry a leaf holds (its type is the dtype)
+# the entry a node record may leave out, per array (its type is the dtype);
+# leaf records leave out all but n, and every record must hold its value
 LEAF_DEFAULTS = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
-                 "value": 0.0, "n": 0, "gain": 0.0}
+                 "n": 0, "gain": 0.0}
 
 
 def _boundary_stats(Xn, a, b=None):
@@ -234,7 +235,9 @@ def predict_tree(tree: Tree, X) -> np.ndarray:
 
 def tree_to_flat(tree: Tree) -> list[dict]:
     """The v1 JSON node list: one record per node, in the arrays' order."""
-    columns = zip(*(getattr(tree, name).tolist() for name in LEAF_DEFAULTS))
+    columns = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+                  tree.right.tolist(), tree.value.tolist(), tree.n.tolist(),
+                  tree.gain.tolist())
     return [
         {"value": v, "n": n} if l < 0 else
         {"value": v, "n": n, "feature": f, "threshold": t, "gain": g, "left": l, "right": r}
@@ -243,8 +246,9 @@ def tree_to_flat(tree: Tree) -> list[dict]:
 
 
 def tree_from_flat(nodes: list[dict]) -> Tree:
-    """Arrays from v1 node records; leaf records take LEAF_DEFAULTS."""
-    return Tree(**{name: np.array([rec.get(name, default) for rec in nodes],
+    """Arrays from v1 node records; left-out entries take LEAF_DEFAULTS."""
+    return Tree(value=np.array([rec["value"] for rec in nodes], dtype=float),
+                **{name: np.array([rec.get(name, default) for rec in nodes],
                                   dtype=type(default))
                    for name, default in LEAF_DEFAULTS.items()})
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 from scorekit.models import train_tree
 from scorekit.models.tree import (
-    LEAF_DEFAULTS,
+    Tree,
     build_tree,
     predict_tree,
     tree_from_flat,
     tree_leaves,
     tree_to_flat,
 )
+
+TREE_ARRAYS = [f.name for f in dataclasses.fields(Tree)]
 
 
 def gini_impurity(y):
@@ -132,7 +135,7 @@ class TestTrainTree:
         tree = build_tree(X, y, objective="gini")
         clone = tree_from_flat(tree_to_flat(tree))
         assert np.array_equal(predict_tree(tree, X), predict_tree(clone, X))
-        for name in LEAF_DEFAULTS:
+        for name in TREE_ARRAYS:
             assert getattr(clone, name).tobytes() == getattr(tree, name).tobytes(), name
 
     def test_duplicate_feature_values_never_split_apart(self):
@@ -190,7 +193,7 @@ def test_predict_matches_reference_walk(case):
     values = np.array([nodes[k]["value"] for k in expected], dtype=float)
     assert predict_tree(tree, Q).tobytes() == values.tobytes()
     for clone in (tree_from_flat(nodes), tree_from_flat(json.loads(json.dumps(nodes)))):
-        for name in LEAF_DEFAULTS:
+        for name in TREE_ARRAYS:
             assert getattr(clone, name).dtype == getattr(tree, name).dtype, name
             assert getattr(clone, name).tobytes() == getattr(tree, name).tobytes(), name
 
