@@ -47,8 +47,8 @@ class Tree:
     gain: np.ndarray
 
 
-# the entry a node record may leave out, per array (its type is the dtype);
-# leaf records leave out all but n, and every record must hold its value
+# per array, the entry a node record may omit (its type is the array's
+# dtype); leaf records hold only value and n, and no record omits value
 LEAF_DEFAULTS = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
                  "n": 0, "gain": 0.0}
 
@@ -239,9 +239,10 @@ def tree_to_flat(tree: Tree) -> list[dict]:
                   tree.right.tolist(), tree.value.tolist(), tree.n.tolist(),
                   tree.gain.tolist())
     return [
-        {"value": v, "n": n} if l < 0 else
-        {"value": v, "n": n, "feature": f, "threshold": t, "gain": g, "left": l, "right": r}
-        for f, t, l, r, v, n, g in columns
+        {"value": v, "n": n} if left < 0 else
+        {"value": v, "n": n, "feature": f, "threshold": t, "gain": g,
+         "left": left, "right": right}
+        for f, t, left, right, v, n, g in columns
     ]
 
 
