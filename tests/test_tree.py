@@ -180,13 +180,17 @@ def grown_trees_and_rows(draw):
     m = draw(st.integers(0, 25))
     Q = np.array(draw(st.lists(st.lists(st.sampled_from(special), min_size=p, max_size=p),
                                min_size=m, max_size=m)), dtype=float).reshape(m, p)
-    return tree, Q
+    return tree, X, Q
 
 
 @settings(deadline=None, max_examples=200)
 @given(case=grown_trees_and_rows())
 def test_predict_matches_reference_walk(case):
-    tree, Q = case
+    tree, X, Q = case
+    # the training rows reach each leaf in the numbers the grower counted
+    leaves = np.flatnonzero(tree.left < 0)
+    counts = np.bincount(tree_leaves(tree, X), minlength=len(tree.n))
+    assert counts[leaves].tolist() == tree.n[leaves].tolist()
     nodes = tree_to_flat(tree)
     expected = np.array([reference_leaf(nodes, row) for row in Q], dtype=np.int64)
     assert tree_leaves(tree, Q).tobytes() == expected.tobytes()
