@@ -386,8 +386,10 @@ class TestDeterminism:
             assert artefact_maps[0] == artefact_maps[1], cmd
 
 
-# sha256 of the tree-family artifacts of the small pipeline, recorded before
-# trees became preorder arrays; the array engine must reproduce every byte
+# sha256 of the tree-family artifacts of the small pipeline: the models and
+# selection.json recorded before trees became preorder arrays, the boosted
+# scores and explanations before boosted models were scored as bit vectors;
+# every later engine must reproduce every byte
 PINNED_SHA256 = {
     1: {
         "model_tree.json":
@@ -400,6 +402,20 @@ PINNED_SHA256 = {
             "d9bb9a654ffcfffd1b76f781f5d420b88577ab895f12443e58fb656d9cb6fb3b",
         "selection.json":
             "2c8ae6f6d5b81a331c8acf28922c13ab79e974f236d515af4d71e0a535245c7e",
+        "scores_gbm.csv":
+            "036d3867adcf558ef251b6066dc50f876d6c519f96361a370100e80195ed3779",
+        "scores_xgb.csv":
+            "dcc84137f38959225b68b7c2669ce8d2c10c34874a757b6a888a3d4527d10ef0",
+        "explain_pfi_gbm.json":
+            "21883d64345ce8806e7aab14db406f24c5d36e8abfba9c09aee908e80dae89d1",
+        "explain_pfi_xgb.json":
+            "21757b6c147ed117b678c8586abeacf556f23b53a9443557c34049507f55c96d",
+        "explain_bd_gbm_3.json":
+            "39091ebc14221f374eb71d739c91ef991806698b2af6913ca82ffd85210322d8",
+        "explain_bd_xgb_3.json":
+            "4230b3a632e5b52a76387d163424b78618eb13eac338e7e37b8f442e593f63b7",
+        "explain_pdp_inf_01.json":
+            "ee3d4095f36fbbc257117e155784980c436049849a1cf8470ef499aa1670c4f8",
     },
     2: {
         "model_tree.json":
@@ -412,6 +428,20 @@ PINNED_SHA256 = {
             "43dd4af1c532cb39fc5a5f75fbfe32db798fc751727ae1ca787d4732b11db10f",
         "selection.json":
             "793269b43d58d783ebc73b0ef9204fc8ce2479cd424c6348597686a7f8f53278",
+        "scores_gbm.csv":
+            "41c947228dd6f76934b2c74e28f636b0599781ab7d2a748c29e4b4405a84293f",
+        "scores_xgb.csv":
+            "8fdfacea9c32e9723f736dfdbae49bbd080df4b069af1a50bd15d47bf2d52943",
+        "explain_pfi_gbm.json":
+            "616edb3c06e0516fd3104d5a6c8deab982157706ffedfe4bbedd58aaca44c73a",
+        "explain_pfi_xgb.json":
+            "d4cbabc6d8e568296615941fd0b724548930bd331b01d555c4592c2a638b1738",
+        "explain_bd_gbm_3.json":
+            "699599cdf1ba4d0d3c8aaa821ba1265d074a5c6f07572b971b92dd3f1ddd1400",
+        "explain_bd_xgb_3.json":
+            "bbfb1036b1b86205632a862f9f1bc1781514b671d2dfba371499b27923289a7a",
+        "explain_pdp_inf_01.json":
+            "300178f2dfdaa3589297e9f9a3c12b83cde8d3f763fe409d30ceb211a023a6b1",
     },
     3: {
         "model_tree.json":
@@ -424,6 +454,20 @@ PINNED_SHA256 = {
             "288d567ac61602804a6f2912d8053df443551f0bd6293ecfc5b86206e7979c5d",
         "selection.json":
             "8077c1af1389bbfacc17d8c21d0b877ea66f85aecfcbe517e11bd4867415e3a5",
+        "scores_gbm.csv":
+            "c33c0be35f7c9e698a8ba2f27610293312af234c2b62adcb4b065b768e6f390b",
+        "scores_xgb.csv":
+            "faadff7b54757595b54bad15e75c72f6c9488e4aff4a50995237a79db8f20a1d",
+        "explain_pfi_gbm.json":
+            "09c16441c8716e9132c24d8709152a5823a24ef2e7f9cd522e3afe381268cb4b",
+        "explain_pfi_xgb.json":
+            "1cee239af24cd988910ac97e71d12d3eb018dc11619a518b8bbd62e0bb5fd4a1",
+        "explain_bd_gbm_3.json":
+            "5ed35cbf69a35dec5421f049dd0120649f92c7a766e74896b1456aeafc8b8c3d",
+        "explain_bd_xgb_3.json":
+            "159543e9779b9698d5064098290c6cce6142dfae60e9368753372701364223d2",
+        "explain_pdp_inf_01.json":
+            "891eb4b6b53a3032fdad951e17b6faee313b2bde68f2e5f169b9fd27d48be4e0",
     },
 }
 
@@ -437,6 +481,18 @@ def test_tree_family_artifacts_pinned(tmp_path, small_config, seed):
     assert run("select", "--config", cfg, "--out", out) == 0
     for family in ("tree", "forest", "gbm", "xgb"):
         assert run("train", "--family", family, "--config", cfg, "--out", out) == 0
-    names = ["model_%s.json" % f for f in ("tree", "forest", "gbm", "xgb")] + ["selection.json"]
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    # the boosted scores and explanations go through decision_function
+    boosted = [out / "model_gbm.json", out / "model_xgb.json"]
+    for family, model in zip(("gbm", "xgb"), boosted):
+        assert run("predict", "--model", model, "--data", out / "data.csv",
+                   "--scores", out / ("scores_%s.csv" % family),
+                   "--config", cfg, "--out", out) == 0
+        assert run("explain", "--what", "pfi", "--model", model,
+                   "--config", cfg, "--out", out) == 0
+        assert run("explain", "--what", "bd", "--instance", 3, "--model", model,
+                   "--config", cfg, "--out", out) == 0
+    assert run("explain", "--what", "pdp", "--feature", "inf_01", "--model", *boosted,
+               "--config", cfg, "--out", out) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256[seed]}
     assert digests == PINNED_SHA256[seed]
