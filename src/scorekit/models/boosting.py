@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Predictor, sigmoid
-from .tree import Tree, build_tree, predict_tree, tree_leaves
+from .tree import Tree, build_tree, compile_trees, predict_tree, tree_leaves
 
 LEAF_CLIP = 4.0  # cap for leaves whose hessian sum vanishes
 
@@ -45,9 +45,14 @@ class BoostedModel(Predictor):
         self.model_kind = variant
         self.train_loss_: list[float] = []
         self.feature_gain_: np.ndarray | None = None
+        # compiled once here and held in memory only; None when a tree has
+        # more than 64 leaves, and such a model walks its trees one by one
+        self.bit_trees = compile_trees(self.trees)
 
     def decision_function(self, X) -> np.ndarray:
         X = self._as_matrix(X)
+        if self.bit_trees is not None:
+            return self.bit_trees.score(X, self.initial_score, self.learning_rate)
         score = np.full(X.shape[0], self.initial_score)
         for tree in self.trees:
             score += self.learning_rate * predict_tree(tree, X)

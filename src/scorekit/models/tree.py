@@ -233,6 +233,101 @@ def predict_tree(tree: Tree, X) -> np.ndarray:
     return tree.value[tree_leaves(tree, X)]
 
 
+# (row x tree) cells of one BitVectorTrees scoring block. It bounds the mask
+# and leaf-number matrices of a block (one byte a cell for trees of up to 8
+# leaves); smaller blocks pay more numpy calls per row, since the sum over
+# trees is one call per tree and block
+SCORE_CELLS = 1 << 18
+
+MASK_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@dataclass(eq=False)
+class BitVectorTrees:
+    """An ensemble of trees of at most 64 leaves in the QuickScorer bit-vector
+    form (Lucchese et al., SIGIR 2015; Dato et al., TOIS 2016).
+
+    A tree's leaves are numbered left to right, i.e. by preorder rank among
+    leaves, and bit i of the tree's mask stands for leaf i. A node whose test
+    fails clears the bits of its left subtree's leaves, and the exit leaf is
+    the lowest bit left set. features[f] is a feature some node splits on,
+    thresholds[f] the sorted thresholds of all its nodes in all trees, and
+    row k of tables[f], shape (len(thresholds[f]) + 1, n_trees), the AND per
+    tree of the clear masks of the k lowest of them. values is
+    (n_trees, mask bits), leaf values in leaf order, and dtype the unsigned
+    integer type of the masks.
+    """
+
+    features: list[int]
+    thresholds: list[np.ndarray]
+    tables: list[np.ndarray]
+    values: np.ndarray
+    dtype: type
+
+    def score(self, X, base: float, rate: float) -> np.ndarray:
+        """base + rate * v_0 + rate * v_1 + ... per row, added in tree order,
+        where v_t is the leaf value tree t routes the row to.
+
+        searchsorted(side="left") counts the thresholds strictly below x, so
+        x == t passes a test and NaN, sorted last, fails every one: the `<=`
+        rule of tree_leaves, NaN going right.
+        """
+        X = np.asarray(X, dtype=float)
+        scaled = rate * self.values  # the products the per-tree sum adds
+        step = max(1, SCORE_CELLS // max(1, len(scaled)))
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], step):
+            block = X[start:start + step]
+            mask = np.full((block.shape[0], len(scaled)), np.iinfo(self.dtype).max, self.dtype)
+            for j, thr, table in zip(self.features, self.thresholds, self.tables):
+                mask &= table.take(np.searchsorted(thr, block[:, j], side="left"), axis=0)
+            # the exit leaf's number is the count of zero bits below the lowest set one
+            leaf = np.ascontiguousarray(np.bitwise_count((mask & (~mask + 1)) - 1).T)
+            acc = np.full(block.shape[0], base)
+            for values, rows in zip(scaled, leaf):
+                acc += values.take(rows)
+            out[start:start + step] = acc
+        return out
+
+
+def compile_trees(trees: list[Tree]) -> BitVectorTrees | None:
+    """The BitVectorTrees form of `trees`, or None when a tree has more than
+    64 leaves. The mask dtype is the narrowest that holds the widest tree."""
+    is_leaf = [tree.left < 0 for tree in trees]
+    width = max((int(leaf.sum()) for leaf in is_leaf), default=1)
+    dtype = next((d for d in MASK_DTYPES if width <= np.iinfo(d).bits), None)
+    if dtype is None:
+        return None
+    if not trees:
+        return BitVectorTrees([], [], [], np.zeros((0, 1)), dtype)
+    values = np.zeros((len(trees), width))
+    node_tree, node_feature, node_threshold, node_mask = [], [], [], []
+    for t, (tree, leaf) in enumerate(zip(trees, is_leaf)):
+        values[t, :leaf.sum()] = tree.value[leaf]
+        before = np.concatenate(([0], np.cumsum(leaf)))  # leaves ahead of each node
+        internal = np.flatnonzero(~leaf)
+        # a node's left subtree is nodes left..right-1 in preorder, so its
+        # leaves are bits before[left] .. before[right]-1
+        lo = before[tree.left[internal]].astype(np.uint64)
+        span = before[tree.right[internal]].astype(np.uint64) - lo
+        node_mask.append((~(((np.uint64(1) << span) - np.uint64(1)) << lo)).astype(dtype))
+        node_tree.append(np.full(len(internal), t))
+        node_feature.append(tree.feature[internal])
+        node_threshold.append(tree.threshold[internal])
+    node_tree, node_feature, node_threshold, node_mask = map(
+        np.concatenate, (node_tree, node_feature, node_threshold, node_mask))
+    features, thresholds, tables = [], [], []
+    for j in np.unique(node_feature).tolist():
+        sel = np.flatnonzero(node_feature == j)
+        sel = sel[np.argsort(node_threshold[sel], kind="stable")]
+        table = np.full((len(sel) + 1, len(trees)), np.iinfo(dtype).max, dtype=dtype)
+        table[np.arange(1, len(sel) + 1), node_tree[sel]] = node_mask[sel]
+        features.append(j)
+        thresholds.append(node_threshold[sel])
+        tables.append(np.bitwise_and.accumulate(table, axis=0))
+    return BitVectorTrees(features, thresholds, tables, values, dtype)
+
+
 def tree_to_flat(tree: Tree) -> list[dict]:
     """The v1 JSON node list: one record per node, in the arrays' order."""
     columns = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scorekit.models import tree as tree_module
 from scorekit.models import train_gbm, train_xgb
-from scorekit.models.boosting import log_loss, log_odds
-from scorekit.models.tree import build_tree, leaf_weight_grad, split_gain_grad
+from scorekit.models.boosting import BoostedModel, log_loss, log_odds
+from scorekit.models.tree import (
+    build_tree,
+    leaf_weight_grad,
+    predict_tree,
+    split_gain_grad,
+    tree_from_flat,
+)
 
 
 @pytest.fixture
@@ -145,3 +154,78 @@ class TestXgb:
 def test_log_odds_helper():
     assert log_odds(0.5) == 0.0
     assert log_odds(0.25) == pytest.approx(np.log(1 / 3), abs=1e-12)
+
+
+def reference_decision(model, X):
+    """The per-tree walk: initial_score + sum of learning_rate * leaf value,
+    added tree by tree in model order."""
+    score = np.full(X.shape[0], model.initial_score)
+    for tree in model.trees:
+        score += model.learning_rate * predict_tree(tree, X)
+    return score
+
+
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def random_tree(draw, n_leaves, n_features):
+    """A tree of exactly n_leaves leaves with splits on the coarse GRID, so
+    thresholds tie within and across trees; leaf values span magnitudes so
+    that the order of the sum over trees shows in the last bits."""
+    nodes = []
+    pending = [(n_leaves, None)]  # leaves to place, parent awaiting its right child
+    while pending:
+        k, parent = pending.pop()
+        if parent is not None:
+            parent["right"] = len(nodes)
+        rec = {"value": draw(st.floats(-1e3, 1e3)), "n": 0}
+        nodes.append(rec)
+        if k > 1:
+            left = draw(st.integers(1, k - 1))
+            rec.update(feature=draw(st.integers(0, n_features - 1)),
+                       threshold=draw(st.sampled_from(GRID)), gain=0.0,
+                       left=len(nodes), right=-1)
+            pending += [(k - left, rec), (left, None)]
+    return tree_from_flat(nodes)
+
+
+@st.composite
+def boosted_cases(draw):
+    split_on = draw(st.integers(1, 3))
+    p = split_on + draw(st.integers(0, 2))  # trailing features no tree splits on
+    widths = st.one_of(st.integers(1, 65), st.sampled_from([1, 8, 9, 16, 17, 32, 33, 64, 65]))
+    trees = [draw(random_tree(k, split_on)) for k in draw(st.lists(widths, max_size=5))]
+    model = BoostedModel(draw(st.floats(-3, 3)), trees, draw(st.floats(0.01, 1.0)),
+                         ["x%d" % j for j in range(p)])
+    cells = [np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID
+    m = draw(st.integers(0, 40))
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(cells), min_size=p, max_size=p),
+                               min_size=m, max_size=m)), dtype=float).reshape(m, p)
+    return model, X, draw(st.sampled_from([1, 7, 64, tree_module.SCORE_CELLS]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=boosted_cases())
+def test_decision_function_matches_per_tree_walk(case):
+    model, X, cells = case
+    widest = max((int((t.left < 0).sum()) for t in model.trees), default=1)
+    if widest > 64:
+        assert model.bit_trees is None  # the walk is the fallback
+    else:
+        bits = np.iinfo(model.bit_trees.dtype).bits
+        assert widest <= bits and (bits == 8 or widest > bits // 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "SCORE_CELLS", cells)  # blocks of a few rows
+        assert model.decision_function(X).tobytes() == reference_decision(model, X).tobytes()
+
+
+def test_zero_tree_and_trained_models_match_per_tree_walk(rng):
+    X = rng.normal(size=(300, 4))
+    y = (X[:, 0] + 0.5 * rng.normal(size=300) > 0).astype(float)
+    Q = np.vstack([X, [[np.nan, np.inf, -np.inf, 0.0]]])
+    for model in (train_gbm(X, y, n_trees=0), train_xgb(X, y, n_trees=0),
+                  train_gbm(X, y, n_trees=15, subsample=0.8),
+                  train_xgb(X, y, n_trees=15, max_depth=5, colsample=0.5)):
+        assert model.bit_trees is not None
+        assert model.decision_function(Q).tobytes() == reference_decision(model, Q).tobytes()
