@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UnknownColumn
 from .metrics import auc
 
 
@@ -79,7 +80,7 @@ def _feature_index(model, feature: str) -> int:
     try:
         return model.feature_names.index(feature)
     except ValueError:
-        raise ValueError("model has no feature %r" % feature) from None
+        raise UnknownColumn("model has no feature %r" % feature) from None
 
 
 @dataclass

@@ -149,6 +149,20 @@ class TestTrainPredictExplainReport:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ("--what", "pdp", "--feature", "nope"),
+        ("--what", "pdp", "--feature", "inf_01", "--feature2", "nope"),
+        ("--what", "cp", "--feature", "nope", "--instance", 0),
+    ])
+    def test_explain_unknown_feature_exit_2(self, pipeline_dir, capsys, args):
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", "logistic", "--config", cfg,
+                   "--out", pipeline_dir) == 0
+        code = run("explain", *args, "--model", pipeline_dir / "model_logistic.json",
+                   "--config", cfg, "--out", pipeline_dir)
+        assert code == 2
+        assert "UnknownColumn: model has no feature 'nope'" in capsys.readouterr().err
+
     def test_unknown_family_exit_2(self, pipeline_dir, capsys):
         code = run("train", "--family", "perceptron",
                    "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir)
