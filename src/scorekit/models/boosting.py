@@ -11,8 +11,11 @@ leaf weight -G/(H+lambda).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from ..errors import ScorekitError
 from .base import Predictor, sigmoid
 from .tree import Tree, build_tree, compile_trees, predict_tree, tree_leaves
 
@@ -78,6 +81,9 @@ def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
     subsample rows. A leaf whose denominator vanishes would take an
     infinite log-odds step; it is clipped to +/-LEAF_CLIP instead.
     """
+    # zero rounds is a valid base-rate model
+    if not isinstance(n_trees, numbers.Integral) or n_trees < 0:
+        raise ScorekitError("gbm needs an integer n_trees >= 0, got %r" % (n_trees,))
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -131,6 +137,8 @@ def train_xgb(X, y, n_trees=100, learning_rate=0.1, max_depth=3, lam=1.0,
     leaf weights toward zero. Realized split gains are summed per feature
     into feature_gain_ (the importance used for variable preselection).
     """
+    if not isinstance(n_trees, numbers.Integral) or n_trees < 0:
+        raise ScorekitError("xgb needs an integer n_trees >= 0, got %r" % (n_trees,))
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ..errors import ScorekitError
 from .base import Predictor
 from .tree import Tree, build_tree, predict_tree
 
@@ -50,6 +52,8 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
     from (seed, tree index), so results do not depend on thread count or
     scheduling order.
     """
+    if not isinstance(n_trees, numbers.Integral) or n_trees < 1:
+        raise ScorekitError("a forest needs an integer n_trees >= 1, got %r" % (n_trees,))
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorekit.errors import ScorekitError
 from scorekit.models import tree as tree_module
 from scorekit.models import train_gbm, train_xgb
 from scorekit.models.boosting import BoostedModel, log_loss, log_odds
@@ -149,6 +150,14 @@ class TestXgb:
         y = (X[:, 0] - X[:, 1] + 0.3 * rng.normal(size=400) > 0).astype(float)
         model = train_xgb(X, y, n_trees=30, learning_rate=0.2)
         assert model.train_loss_[-1] < model.train_loss_[0]
+
+
+@pytest.mark.parametrize("n_trees", [-3, 2.5])
+@pytest.mark.parametrize("train", [train_gbm, train_xgb])
+def test_impossible_tree_count_rejected(separable, train, n_trees):
+    X, y = separable
+    with pytest.raises(ScorekitError, match="integer n_trees >= 0, got %r" % n_trees):
+        train(X, y, n_trees=n_trees)
 
 
 def test_log_odds_helper():

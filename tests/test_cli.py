@@ -163,6 +163,16 @@ class TestTrainPredictExplainReport:
         assert code == 2
         assert "UnknownColumn: model has no feature 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, n_trees", [("forest", 0), ("gbm", -3), ("xgb", 2.5)])
+    def test_impossible_tree_count_exit_2(self, pipeline_dir, capsys, family, n_trees):
+        cfg = pipeline_dir / "config.yaml"
+        config = yaml.safe_load(cfg.read_text())
+        config["models"][family]["n_trees"] = n_trees
+        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        code = run("train", "--family", family, "--config", cfg, "--out", pipeline_dir)
+        assert code == 2
+        assert "n_trees >= %d, got %r" % (family == "forest", n_trees) in capsys.readouterr().err
+
     def test_unknown_family_exit_2(self, pipeline_dir, capsys):
         code = run("train", "--family", "perceptron",
                    "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scorekit.errors import ScorekitError
 from scorekit.metrics import gini
 from scorekit.models import train_random_forest, train_tree
 
@@ -67,3 +68,9 @@ class TestRandomForest:
         X, y = toy
         forest = train_random_forest(X, y, n_trees=2, seed=0)
         assert forest.mtry == 2  # ceil(sqrt(4))
+
+    @pytest.mark.parametrize("n_trees", [0, -2, 2.5])
+    def test_rejects_impossible_tree_count(self, toy, n_trees):
+        X, y = toy
+        with pytest.raises(ScorekitError, match="integer n_trees >= 1, got %r" % n_trees):
+            train_random_forest(X, y, n_trees=n_trees)
