@@ -15,7 +15,9 @@ deterministic regardless of thread count.
 A tree is a `Tree` of parallel node arrays in preorder, left child first:
 the order of the v1 JSON node list, so `tree_to_flat` / `tree_from_flat`
 only convert between records and arrays. `tree_leaves` is the one walk
-over a tree; prediction reads the leaf values it finds.
+over a tree; prediction reads the leaf values it finds. An ensemble of
+small trees can instead be compiled into `BitVectorTrees`, which routes
+every row as the walk does and scores all trees in one pass.
 """
 
 from __future__ import annotations
