@@ -1,8 +1,9 @@
 """Command-line orchestration: synth -> split -> select -> train -> predict
 -> explain -> report.
 
-Every command reads a YAML config (defaults below, overridable per key),
-writes its artifacts under --out, and appends an entry with input/artifact
+Every command reads a YAML config (the commented defaults.yaml next to
+this module, overridable per key; a key it lacks is an error), writes its
+artifacts under --out, and appends an entry with input/artifact
 checksums to manifest.json there. JSON artifacts are deterministic for a
 fixed config and seed; wall-clock timings and timestamps live only in the
 manifest and in timing_* sidecar files, which are the documented volatile
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -41,7 +43,7 @@ from .data import (
     CATEGORICAL,
     NUMERIC,
 )
-from .errors import ScorekitError
+from .errors import BadParameter, ScorekitError
 from .explain import (
     break_down,
     ceteris_paribus,
@@ -71,65 +73,8 @@ log = logging.getLogger("scorekit")
 # resolver as yaml.SafeLoader, and an order of magnitude faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-DEFAULT_CONFIG = {
-    "seed": 1,
-    "threads": 1,
-    "data": {
-        "csv": None,
-        "target": "default",
-        "date_col": "obs_date",
-        "missing_token": "",
-        "schema": {},
-    },
-    "synth": {
-        "n_rows": 20000,
-        "n_informative": 5,
-        "n_noise": 15,
-        "n_constant": 0,
-        "base_rate": 0.25,
-        "drift": 0.25,
-    },
-    "split": {
-        "test_fraction": 0.3,
-        "oos_fraction": 0.2,
-        "oot_start": "2018-08-31",
-        "oot_end": "2018-11-30",
-    },
-    "selection": {
-        "unique_threshold": 300,
-        "top_k": 81,
-        "min_ks": 0.1,
-        "xgb": {"n_trees": 50, "max_depth": 4, "learning_rate": 0.1},
-    },
-    "models": {
-        "min_gini": 0.6,
-        "logistic": {"tol": 1e-8, "max_iter": 100, "ridge": 1e-8},
-        "logistic_woe": {"max_bins": 10, "min_bin_frac": 0.05, "smoothing": 0.5},
-        "tree": {"max_depth": 6, "min_leaf": 50},
-        "forest": {"n_trees": 100, "max_depth": None, "min_leaf": 1, "mtry": None},
-        "gbm": {"n_trees": 120, "learning_rate": 0.1, "max_depth": 3,
-                "min_leaf": 20, "subsample": 0.8},
-        "xgb": {"n_trees": 120, "learning_rate": 0.1, "max_depth": 3, "lam": 1.0,
-                "gamma": 0.0, "subsample": 0.8, "colsample": 0.8},
-    },
-    "search": {
-        "budget": 0,  # 0 disables random search; trains the fixed params above
-        "spaces": {
-            "forest": {"n_trees": [40, 120], "max_depth": [6, 24], "min_leaf": [1, 10]},
-            "gbm": {"n_trees": [60, 200], "learning_rate": [0.03, 0.2],
-                    "max_depth": [2, 5], "min_leaf": [10, 60], "subsample": [0.6, 1.0]},
-            "xgb": {"n_trees": [60, 200], "learning_rate": [0.03, 0.2],
-                    "max_depth": [2, 5], "lam": [0.5, 4.0], "gamma": [0.0, 1.0],
-                    "subsample": [0.6, 1.0], "colsample": [0.6, 1.0]},
-            "tree": {"max_depth": [2, 10], "min_leaf": [10, 200]},
-        },
-    },
-    "explain": {
-        "n_repeats": 10,
-        "grid_points": 21,
-        "background_rows": 1000,
-    },
-}
+# the commented defaults file, the only place the defaults are written down
+DEFAULTS_PATH = Path(__file__).with_name("defaults.yaml")
 
 FAMILIES = ("logistic", "logistic_woe", "tree", "forest", "gbm", "xgb")
 
@@ -137,24 +82,53 @@ FAMILIES = ("logistic", "logistic_woe", "tree", "forest", "gbm", "xgb")
 # ---------------------------------------------------------------------------
 # config / manifest plumbing
 
-def _deep_merge(base: dict, override: dict) -> dict:
+@functools.cache
+def _defaults_json() -> str:
+    # parsed once per process; callers get their own copy via json.loads
+    with open(DEFAULTS_PATH, encoding="utf-8") as fh:
+        return json.dumps(yaml.load(fh, Loader=_YAML_LOADER))
+
+
+def _merge(base: dict, override, shape: dict, where: str = "") -> dict:
+    """`base` with `override` laid over it, recursively. Each key must be one
+    of `shape`'s (the defaults at the same place; under `data.schema` any
+    key) and must hold a mapping exactly where `shape` does."""
+    if not isinstance(override, dict):
+        raise BadParameter("config key %s needs a mapping, got %r"
+                           % (where or "(top level)", override))
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        dotted = "%s.%s" % (where, key) if where else str(key)
+        if where == "data.schema":
+            out[key] = value
+        elif key not in shape:
+            raise BadParameter("unknown config key %s" % dotted)
+        elif isinstance(shape[key], dict):
+            out[key] = _merge(base[key], value, shape[key], dotted)
+        elif isinstance(value, dict):
+            raise BadParameter("config key %s takes a single value, not a mapping" % dotted)
         else:
             out[key] = value
     return out
 
 
 def load_config(path=None, overrides=None) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    """The packaged defaults, then the YAML file at `path`, then
+    `overrides`; raises BadParameter on a key the defaults do not have."""
+    config = json.loads(_defaults_json())
+    shape = json.loads(_defaults_json())
+    # a search space ranges over the parameters of its family
+    shape["search"]["spaces"] = {f: shape["models"][f] for f in shape["search"]["spaces"]}
     if path:
         with open(path, encoding="utf-8") as fh:
-            user = yaml.load(fh, Loader=_YAML_LOADER) or {}
-        config = _deep_merge(config, user)
+            try:
+                user = yaml.load(fh, Loader=_YAML_LOADER) or {}
+            except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date like 2018-13-01
+                raise BadParameter("%s does not parse: %s"
+                                   % (path, " ".join(str(exc).split()))) from None
+        config = _merge(config, user, shape)
     if overrides:
-        config = _deep_merge(config, overrides)
+        config = _merge(config, overrides, shape)
     return config
 
 
@@ -309,14 +283,13 @@ def cmd_select(args, config) -> int:
     out_dir = Path(args.out)
     splits, _ = _load_splits_checked(out_dir)
     sel = config["selection"]
-    xgb_cfg = dict(sel.get("xgb") or {})
     report = run_selection(
         splits.train,
         unique_threshold=sel["unique_threshold"],
         top_k=sel["top_k"],
         min_ks=sel["min_ks"],
         seed=config["seed"],
-        xgb_config=xgb_cfg,
+        xgb_config=dict(sel["xgb"]),
     )
     report_path = out_dir / "selection.json"
     report.save(report_path)
@@ -366,20 +339,12 @@ def train_family(family: str, splits, names, config, threads: int = 1):
         "gbm": lambda X, y, seed=0, **p: train_gbm(X, y, seed=seed, feature_names=names, **p),
         "xgb": lambda X, y, seed=0, **p: train_xgb(X, y, seed=seed, feature_names=names, **p),
     }
-    if family not in trainers:
-        raise ScorekitError("unknown model family %r" % family)
 
     if budget and budget > 0:
-        space_cfg = config["search"]["spaces"].get(family, {})
-        space = {}
-        for key, val in space_cfg.items():
-            if isinstance(val, list) and len(val) == 2 \
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
-                space[key] = (val[0], val[1])
-            elif isinstance(val, list):
-                space[key] = val
-            else:
-                space[key] = val
+        # a two-number list is a range, any other list a set of choices
+        space = {key: (tuple(val) if isinstance(val, list) and len(val) == 2
+                       and all(type(v) in (int, float) for v in val) else val)
+                 for key, val in config["search"]["spaces"][family].items()}
         Xval = splits.test.matrix(names)
         yval = splits.test.target
         cfg, model = random_search(space, trainers[family], Xtr, ytr, Xval, yval,
@@ -481,14 +446,25 @@ def _load_part(out_dir, part_name: str) -> Dataset:
 def cmd_explain(args, config) -> int:
     out_dir = Path(args.out)
     ecfg = config["explain"]
-    model_paths = args.model
-    models_loaded = [(Path(p).stem.replace("model_", ""), load_model(p)) for p in model_paths]
-    part = _load_part(out_dir, args.part)
     what = args.what
+    model_paths = args.model
+    if len(model_paths) > 1 and (what != "pdp" or args.feature2):
+        raise BadParameter("--model: %s explains one model, got %d (only a 1-D pdp "
+                           "overlays several)" % (what, len(model_paths)))
+    if what in ("pdp", "cp") and not args.feature:
+        raise ScorekitError("%s needs --feature" % what)
+    models_loaded = [(Path(p).stem.replace("model_", ""), load_model(p)) for p in model_paths]
+    name, model = models_loaded[0]
+    part = _load_part(out_dir, args.part)
+    if what in ("cp", "bd"):
+        if args.instance is None:
+            raise ScorekitError("%s needs --instance" % what)
+        if not 0 <= args.instance < part.n_rows:
+            raise ScorekitError("instance %d out of range (part has %d rows)"
+                                % (args.instance, part.n_rows))
+    X = part.matrix(model.feature_names)
 
     if what == "pfi":
-        name, model = models_loaded[0]
-        X = part.matrix(model.feature_names)
         result = permutation_importance(model, X, part.target,
                                         n_repeats=ecfg["n_repeats"], seed=config["seed"])
         json_path = out_dir / ("explain_pfi_%s.json" % name)
@@ -499,23 +475,16 @@ def cmd_explain(args, config) -> int:
                            value_label="AUC drop after shuffling")
         artifacts = [json_path, svg_path]
     elif what == "pdp" and args.feature2:
-        name, model = models_loaded[0]
-        if not args.feature:
-            raise ScorekitError("pdp needs --feature")
-        X = part.matrix(model.feature_names)
         surface = partial_dependence_2d(model, X, args.feature, args.feature2,
                                         grid_spec=ecfg["grid_points"])
-        json_path = out_dir / ("explain_pdp2_%s_%s.json" % (args.feature, args.feature2))
+        json_path = out_dir / ("explain_pdp2_%s_%s_%s.json" % (name, args.feature, args.feature2))
         write_json(surface.to_dict(), json_path)
         artifacts = [json_path]
     elif what == "pdp":
-        if not args.feature:
-            raise ScorekitError("pdp needs --feature")
         profiles = {}
-        for name, model in models_loaded:
-            X = part.matrix(model.feature_names)
-            profiles[name] = partial_dependence(model, X, args.feature,
-                                                grid_spec=ecfg["grid_points"])
+        for label, each in models_loaded:
+            profiles[label] = partial_dependence(each, part.matrix(each.feature_names),
+                                                 args.feature, grid_spec=ecfg["grid_points"])
         json_path = out_dir / ("explain_pdp_%s.json" % args.feature)
         write_json({"schema_version": 1, "kind": "partial_dependence_set",
                     "feature": args.feature,
@@ -527,35 +496,19 @@ def cmd_explain(args, config) -> int:
             x_label=args.feature, y_label="mean predicted PD")
         artifacts = [json_path, svg_path]
     elif what == "cp":
-        name, model = models_loaded[0]
-        if args.instance is None:
-            raise ScorekitError("cp needs --instance")
-        if not 0 <= args.instance < part.n_rows:
-            raise ScorekitError("instance %d out of range (part has %d rows)"
-                                % (args.instance, part.n_rows))
-        if not args.feature:
-            raise ScorekitError("cp needs --feature")
-        X = part.matrix(model.feature_names)
         profile = ceteris_paribus(model, X[args.instance], args.feature,
                                   background=X, instance_id=args.instance)
-        json_path = out_dir / ("explain_cp_%s_%d.json" % (args.feature, args.instance))
+        json_path = out_dir / ("explain_cp_%s_%s_%d.json" % (name, args.feature, args.instance))
         write_json(profile.to_dict(), json_path)
-        svg_path = out_dir / ("explain_cp_%s_%d.svg" % (args.feature, args.instance))
+        svg_path = json_path.with_suffix(".svg")
         charts.line_chart({name: (profile.grid, profile.prediction)}, svg_path,
                           title="Ceteris paribus: %s (row %d)" % (args.feature, args.instance),
                           x_label=args.feature, y_label="predicted PD",
                           markers=[(profile.anchor_value, profile.anchor)])
         artifacts = [json_path, svg_path]
     elif what == "bd":
-        name, model = models_loaded[0]
-        if args.instance is None:
-            raise ScorekitError("bd needs --instance")
-        if not 0 <= args.instance < part.n_rows:
-            raise ScorekitError("instance %d out of range (part has %d rows)"
-                                % (args.instance, part.n_rows))
-        X = part.matrix(model.feature_names)
         rng = np.random.default_rng(config["seed"])
-        n_bg = min(ecfg["background_rows"], X.shape[0])
+        n_bg = max(0, min(ecfg["background_rows"], X.shape[0]))
         background = X[np.sort(rng.choice(X.shape[0], size=n_bg, replace=False))]
         result = break_down(model, background, X[args.instance])
         json_path = out_dir / ("explain_bd_%s_%d.json" % (name, args.instance))

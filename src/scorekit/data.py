@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadParameter,
     BadTarget,
     EmptyFile,
     EmptyPartition,
@@ -204,8 +205,8 @@ def load_csv(path, schema: dict, target: str = "target",
                 raise MissingColumn(name)
         for name, kind in schema.items():
             if kind not in (NUMERIC, CATEGORICAL):
-                raise ValueError("schema kind for %s must be numeric or categorical, got %r"
-                                 % (name, kind))
+                raise BadParameter("schema kind for %s must be numeric or categorical, got %r"
+                                   % (name, kind))
 
         # stream the rows, keeping only the cells of the parsed columns
         keep = [col_index[name] for name in parsed]
@@ -365,6 +366,13 @@ def dummy_encode(d: Dataset, cols) -> Dataset:
     return DummyEncoder(cols).fit_transform(d)
 
 
+def _window_date(key: str, value) -> np.datetime64:
+    try:
+        return np.datetime64(value, "D")
+    except ValueError:
+        raise BadParameter("%s: date %r does not parse" % (key, value)) from None
+
+
 def temporal_split(
     d: Dataset,
     test_fraction: float,
@@ -382,15 +390,14 @@ def temporal_split(
     """
     if d.obs_date is None:
         raise ValueError("temporal_split needs obs_date on every row")
-    oot_start = np.datetime64(oot_start, "D")
-    oot_end = np.datetime64(oot_end, "D")
+    oot_start = _window_date("oot_start", oot_start)
+    oot_end = _window_date("oot_end", oot_end)
     if not oot_start < oot_end:
-        raise ValueError("oot_start must precede oot_end")
+        raise BadParameter("oot_start %s must precede oot_end %s" % (oot_start, oot_end))
     after_window = d.obs_date > oot_end
     if after_window.any():
-        raise ValueError(
-            "%d rows dated after the out-of-time window end" % int(after_window.sum())
-        )
+        raise BadParameter("%d rows dated after the out-of-time window end oot_end %s"
+                           % (int(after_window.sum()), oot_end))
 
     in_oot = (d.obs_date > oot_start) & (d.obs_date <= oot_end)
     oot_idx = np.where(in_oot)[0]

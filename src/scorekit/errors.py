@@ -49,3 +49,9 @@ class MalformedCsv(ScorekitError):
 class NoMissingBin(ScorekitError):
     """A WOE-binned column has missing values, but its bins were fitted
     on data without any, so there is no missing bin to put them in."""
+
+
+class BadParameter(ScorekitError, ValueError):
+    """A config key the defaults do not have, a config value of the wrong
+    shape, or a parameter outside its range. Also a ValueError, which is
+    what such a parameter raised before it was a contract error."""

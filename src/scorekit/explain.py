@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownColumn
+from .errors import BadParameter, UnknownColumn
 from .metrics import auc
 
 
@@ -37,11 +37,11 @@ def _grid_from_spec(values: np.ndarray, grid_spec) -> np.ndarray:
     if np.ndim(grid_spec) > 0:
         grid = np.asarray(grid_spec, dtype=float)
         if grid.size == 0:
-            raise ValueError("empty grid")
+            raise BadParameter("grid_spec lists no grid points")
         return np.unique(grid)
     n_points = int(grid_spec)
     if n_points < 1:
-        raise ValueError("grid needs at least one point")
+        raise BadParameter("grid_spec must ask for at least one grid point, got %r" % grid_spec)
     qs = np.linspace(0.0, 1.0, n_points)
     return np.unique(np.quantile(values, qs, method="inverted_cdf"))
 
@@ -131,7 +131,7 @@ def permutation_importance(model, X, y, n_repeats: int = 10, seed: int = 0,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if n_repeats < 1:
-        raise ValueError("n_repeats must be >= 1")
+        raise BadParameter("n_repeats must be >= 1, got %r" % n_repeats)
     names = list(model.feature_names) if features is None else list(features)
     baseline = auc(model.predict_proba(X), y)
     drops = np.empty((len(names), n_repeats))
@@ -329,7 +329,8 @@ def break_down(model, background, instance, ordering="greedy") -> BreakDownResul
     """
     background = np.asarray(background, dtype=float)
     if background.ndim != 2 or background.shape[0] == 0:
-        raise ValueError("background must be a non-empty 2-D array")
+        raise BadParameter("background must be a 2-D array with at least one row, got shape %s"
+                           % (background.shape,))
     instance = np.asarray(instance, dtype=float).ravel()
     names = list(model.feature_names)
     p = len(names)

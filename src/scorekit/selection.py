@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
+from .errors import BadParameter
 from .metrics import MetricReport, ks_statistic
 from .models.boosting import train_xgb
 
@@ -73,7 +74,7 @@ class SelectionReport:
 def split_by_unique_count(d: Dataset, threshold: int) -> tuple[list[str], list[str]]:
     """Features with n_unique <= threshold go low-cardinality, rest high."""
     if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+        raise BadParameter("unique_threshold must be >= 1, got %r" % threshold)
     low, high = [], []
     for f in d.features:
         (low if f.n_unique <= threshold else high).append(f.name)
@@ -88,7 +89,7 @@ def preselect_by_boosting(d: Dataset, partitions, top_k: int, seed: int = 0,
     retained, even when top_k exceeds the nonzero count.
     """
     if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+        raise BadParameter("top_k must be >= 1, got %r" % top_k)
     params = dict(DEFAULT_XGB_CONFIG)
     params.update(config or {})
     importance: dict[str, float] = {}
@@ -117,7 +118,7 @@ def feature_ks(d: Dataset, name: str) -> float:
 def ks_filter(d: Dataset, features, min_ks: float) -> tuple[list[str], dict]:
     """Drop features whose raw-value K-S falls below min_ks."""
     if not 0.0 <= min_ks <= 1.0:
-        raise ValueError("min_ks must be in [0,1]")
+        raise BadParameter("min_ks must be in [0, 1], got %r" % min_ks)
     ks_by_feature = {name: feature_ks(d, name) for name in features}
     survivors = [name for name in features if ks_by_feature[name] >= min_ks]
     return survivors, ks_by_feature
@@ -152,7 +153,7 @@ def reject_models(reports: list[MetricReport], min_gini: float,
     set either way.
     """
     if not 0.0 <= min_gini <= 1.0:
-        raise ValueError("min_gini must be in [0,1]")
+        raise BadParameter("min_gini must be in [0, 1], got %r" % min_gini)
     accepted = []
     for report in reports:
         g = report.gini_on(split)

@@ -201,9 +201,88 @@ class TestTrainPredictExplainReport:
         assert run("explain", "--what", "pdp", "--feature", fa,
                    "--feature2", fb, "--model", pipeline_dir / "model_gbm.json",
                    "--config", cfg, "--out", pipeline_dir) == 0
-        doc = json.loads((pipeline_dir / ("explain_pdp2_%s_%s.json" % (fa, fb))).read_text())
+        doc = json.loads((pipeline_dir / ("explain_pdp2_gbm_%s_%s.json" % (fa, fb))).read_text())
         assert len(doc["mean_prediction"]) == len(doc["grid_a"])
         assert len(doc["mean_prediction"][0]) == len(doc["grid_b"])
+
+    def test_cp_of_two_models_leaves_two_files(self, pipeline_dir):
+        cfg = pipeline_dir / "config.yaml"
+        for family in ("logistic", "tree"):
+            assert run("train", "--family", family, "--config", cfg,
+                       "--out", pipeline_dir) == 0
+            assert run("explain", "--what", "cp", "--feature", "inf_01", "--instance", 5,
+                       "--model", pipeline_dir / ("model_%s.json" % family),
+                       "--config", cfg, "--out", pipeline_dir) == 0
+        docs = [json.loads((pipeline_dir / ("explain_cp_%s_inf_01_5.json" % f)).read_text())
+                for f in ("logistic", "tree")]
+        assert docs[0] != docs[1]
+        assert (pipeline_dir / "explain_cp_tree_inf_01_5.svg").exists()
+        assert not list(pipeline_dir.glob("explain_cp_inf_01_*"))
+
+    @pytest.mark.parametrize("args", [
+        ["--what", "pfi"],
+        ["--what", "pdp", "--feature", "inf_01", "--feature2", "inf_02"],
+        ["--what", "cp", "--feature", "inf_01", "--instance", 1],
+        ["--what", "bd", "--instance", 1],
+    ], ids=["pfi", "pdp2", "cp", "bd"])
+    def test_single_model_explainer_given_two_exit_2(self, pipeline_dir, capsys, args):
+        cfg = pipeline_dir / "config.yaml"
+        models = [pipeline_dir / "model_logistic.json", pipeline_dir / "model_tree.json"]
+        for family in ("logistic", "tree"):
+            assert run("train", "--family", family, "--config", cfg,
+                       "--out", pipeline_dir) == 0
+        capsys.readouterr()
+        assert run("explain", *args, "--model", *models,
+                   "--config", cfg, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParameter: --model: %s explains one model, got 2"
+                              % args[1])
+        assert err.count("\n") == 1
+        assert not list(pipeline_dir.glob("explain_*"))
+
+    @pytest.mark.parametrize("argv, key, value, message", [
+        (["split"], "split.oot_start", "2018-12-01",
+         "oot_start 2018-12-01 must precede oot_end 2018-11-30"),
+        (["split"], "split.oot_start", "2018-13-01",
+         "oot_start: date '2018-13-01' does not parse"),
+        (["split"], "split.oot_end", "2018-10-31",
+         "rows dated after the out-of-time window end oot_end 2018-10-31"),
+        (["select"], "selection.unique_threshold", 0, "unique_threshold must be >= 1, got 0"),
+        (["select"], "selection.top_k", 0, "top_k must be >= 1, got 0"),
+        (["select"], "selection.min_ks", 1.5, "min_ks must be in [0, 1], got 1.5"),
+        (["train", "--family", "logistic"], "models.min_gini", 2,
+         "min_gini must be in [0, 1], got 2"),
+        (["explain", "--what", "pfi"], "explain.n_repeats", 0, "n_repeats must be >= 1, got 0"),
+        (["explain", "--what", "pdp", "--feature", "inf_01"], "explain.grid_points", 0,
+         "grid_spec must ask for at least one grid point, got 0"),
+        (["explain", "--what", "bd", "--instance", 2], "explain.background_rows", 0,
+         "background must be a 2-D array with at least one row"),
+        (["explain", "--what", "bd", "--instance", 2], "explain.background_rows", -5,
+         "background must be a 2-D array with at least one row"),
+        (["predict", "--data", "data.csv"], "data.schema", {"inf_01": "number"},
+         "schema kind for inf_01 must be numeric or categorical, got 'number'"),
+    ], ids=["oot_order", "oot_date", "oot_end_early", "unique_threshold", "top_k", "min_ks",
+            "min_gini", "n_repeats", "grid_points", "background_rows", "background_negative",
+            "schema_kind"])
+    def test_out_of_range_config_value_exit_2(self, pipeline_dir, capsys, argv, key, value,
+                                              message):
+        cfg = pipeline_dir / "config.yaml"
+        model = pipeline_dir / "model_logistic.json"
+        assert run("train", "--family", "logistic", "--config", cfg, "--out", pipeline_dir) == 0
+        doc = yaml.safe_load(cfg.read_text())
+        section, name = key.split(".")
+        doc[section][name] = value
+        bad = pipeline_dir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        if argv[0] in ("explain", "predict"):
+            argv = argv + ["--model", model]
+        if argv[0] == "predict":
+            argv = [pipeline_dir / a if a == "data.csv" else a for a in argv]
+        capsys.readouterr()
+        assert run(*argv, "--config", bad, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParameter: ") and message in err
+        assert err.count("\n") == 1
 
     def test_explain_reads_only_the_explained_part(self, pipeline_dir, capsys):
         cfg = pipeline_dir / "config.yaml"
