@@ -14,8 +14,6 @@ from .data import (
     Feature,
     MeanImputer,
     SplitSet,
-    dummy_encode,
-    impute_mean,
     load_csv,
     temporal_split,
 )

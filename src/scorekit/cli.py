@@ -1,8 +1,8 @@
 """Command-line orchestration: synth -> split -> select -> train -> predict
 -> explain -> report.
 
-Every command reads a YAML config (the commented defaults.yaml next to
-this module, overridable per key; a key it lacks is an error), writes its
+Every command reads a YAML config (the packaged defaults of
+scorekit.config, overridable per key; a key they lack is an error), writes its
 artifacts under --out, and appends an entry with input/artifact
 checksums to manifest.json there. JSON artifacts are deterministic for a
 fixed config and seed; wall-clock timings and timestamps live only in the
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import logging
@@ -29,6 +28,7 @@ import numpy as np
 import yaml
 
 from . import charts
+from .config import load_config
 from .data import (
     Dataset,
     DummyEncoder,
@@ -40,6 +40,7 @@ from .data import (
     save_splits,
     temporal_split,
     write_csv,
+    write_json,
     CATEGORICAL,
     NUMERIC,
 )
@@ -69,86 +70,11 @@ from .woe import save_woe_tables
 
 log = logging.getLogger("scorekit")
 
-# libyaml's loader when PyYAML was built with it: same constructor and
-# resolver as yaml.SafeLoader, and an order of magnitude faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# the commented defaults file, the only place the defaults are written down
-DEFAULTS_PATH = Path(__file__).with_name("defaults.yaml")
-
 FAMILIES = ("logistic", "logistic_woe", "tree", "forest", "gbm", "xgb")
 
 
 # ---------------------------------------------------------------------------
-# config / manifest plumbing
-
-@functools.cache
-def _defaults_json() -> str:
-    # parsed once per process; callers get their own copy via json.loads
-    with open(DEFAULTS_PATH, encoding="utf-8") as fh:
-        return json.dumps(yaml.load(fh, Loader=_YAML_LOADER))
-
-
-def _merge(base: dict, override, shape: dict, where: str = "") -> dict:
-    """`base` with `override` laid over it, recursively. Each key must be one
-    of `shape`'s (the defaults at the same place; under `data.schema` any
-    key) and must hold a mapping exactly where `shape` does."""
-    if not isinstance(override, dict):
-        raise BadParameter("config key %s needs a mapping, got %r"
-                           % (where or "(top level)", override))
-    out = dict(base)
-    for key, value in override.items():
-        dotted = "%s.%s" % (where, key) if where else str(key)
-        if where == "data.schema":
-            out[key] = value
-        elif key not in shape:
-            raise BadParameter("unknown config key %s" % dotted)
-        elif isinstance(shape[key], dict):
-            out[key] = _merge(base[key], value, shape[key], dotted)
-        elif isinstance(value, dict):
-            raise BadParameter("config key %s takes a single value, not a mapping" % dotted)
-        else:
-            out[key] = value
-    return out
-
-
-def load_config(path=None, overrides=None) -> dict:
-    """The packaged defaults, then the YAML file at `path`, then
-    `overrides`; raises BadParameter on a key the defaults do not have."""
-    config = json.loads(_defaults_json())
-    shape = json.loads(_defaults_json())
-    # a search space ranges over the parameters of its family
-    shape["search"]["spaces"] = {f: shape["models"][f] for f in shape["search"]["spaces"]}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                user = yaml.load(fh, Loader=_YAML_LOADER) or {}
-            except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date like 2018-13-01
-                raise BadParameter("%s does not parse: %s"
-                                   % (path, " ".join(str(exc).split()))) from None
-        config = _merge(config, user, shape)
-    if overrides:
-        config = _merge(config, overrides, shape)
-    return config
-
-
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError("not JSON serializable: %r" % type(o))
-
-
-def write_json(doc, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
-
+# manifest plumbing
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -366,6 +292,7 @@ def cmd_train(args, config) -> int:
     names = args.features.split(",") if args.features else _selected_features(out_dir, config, splits)
     for name in names:
         splits.train.feature(name)  # raises UnknownColumn early
+    reject_models([], config["models"]["min_gini"])  # range-checks min_gini before the fit
 
     t0 = time.perf_counter()
     model, train_config = train_family(family, splits, names, config,

@@ -181,9 +181,10 @@ def load_csv(path, schema: dict, target: str = "target",
     columns are never parsed. Unparseable numeric cells become missing; the
     target must be 0/1 for every row. With target_optional (scoring data)
     the target column is never read, present or not, and the Dataset holds
-    an all-zero placeholder target. A row whose cell count differs from
-    the header's (named by its line) or an unparseable date (named by its
-    0-based row, as BadTarget names a bad target) raises MalformedCsv.
+    an all-zero placeholder target. A header that names a parsed column
+    twice, a row whose cell count differs from the header's (named by its
+    line) or an unparseable date (named by its 0-based row, as BadTarget
+    names a bad target) raises MalformedCsv.
     """
     path = Path(path)
     parsed = [name for name in schema if columns is None or name in columns]
@@ -207,11 +208,14 @@ def load_csv(path, schema: dict, target: str = "target",
             if kind not in (NUMERIC, CATEGORICAL):
                 raise BadParameter("schema kind for %s must be numeric or categorical, got %r"
                                    % (name, kind))
+        used = parsed + ([target] if has_target else []) + ([date_col] if date_col else [])
+        for name in used:
+            if header.count(name) > 1:
+                raise MalformedCsv("%s: header names column %s %d times"
+                                   % (path, name, header.count(name)))
 
         # stream the rows, keeping only the cells of the parsed columns
-        keep = [col_index[name] for name in parsed]
-        keep += [col_index[target]] if has_target else []
-        keep += [col_index[date_col]] if date_col else []
+        keep = [col_index[name] for name in used]
         pick = (operator.itemgetter(*keep) if len(keep) > 1
                 else lambda row: tuple(row[i] for i in keep))
         width = len(header)
@@ -303,14 +307,6 @@ class MeanImputer:
                 out.append(Feature(f.name, CATEGORICAL, values))
         return d.with_features(out)
 
-    def fit_transform(self, d: Dataset) -> Dataset:
-        return self.fit(d).transform(d)
-
-
-def impute_mean(d: Dataset) -> Dataset:
-    """One-shot mean imputation (fit and apply on the same data)."""
-    return MeanImputer().fit_transform(d)
-
 
 class DummyEncoder:
     """k-1 indicator encoding for categorical columns.
@@ -356,14 +352,6 @@ class DummyEncoder:
                 ind = np.array([1.0 if v == level else 0.0 for v in f.values])
                 out.append(Feature("%s=%s" % (f.name, level), NUMERIC, ind))
         return d.with_features(out)
-
-    def fit_transform(self, d: Dataset) -> Dataset:
-        return self.fit(d).transform(d)
-
-
-def dummy_encode(d: Dataset, cols) -> Dataset:
-    """One-shot k-1 dummy encoding of the named categorical columns."""
-    return DummyEncoder(cols).fit_transform(d)
 
 
 def _window_date(key: str, value) -> np.datetime64:
@@ -425,7 +413,7 @@ def temporal_split(
 
 
 # ---------------------------------------------------------------------------
-# persistence: splits as CSVs plus a JSON manifest
+# persistence: JSON artifacts, and splits as CSVs plus a JSON manifest
 
 def _format_cell(f: Feature, i: int) -> str:
     if f.kind == NUMERIC:
@@ -450,6 +438,25 @@ def write_csv(d: Dataset, path, target: str = "target", date_col: str = "obs_dat
             writer.writerow(row)
 
 
+def _json_default(o):
+    if isinstance(o, (np.integer,)):
+        return int(o)
+    if isinstance(o, (np.floating,)):
+        return float(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError("not JSON serializable: %r" % type(o))
+
+
+def write_json(doc, path):
+    """Sorted, indented JSON with a final newline (model files are compact)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
+        fh.write("\n")
+
+
 def save_splits(splits: SplitSet, out_dir, schema: dict, params: dict,
                 target: str = "target", date_col: str = "obs_date") -> dict:
     """Persist four CSVs plus a JSON manifest; returns the manifest dict."""
@@ -468,9 +475,7 @@ def save_splits(splits: SplitSet, out_dir, schema: dict, params: dict,
         "files": files,
         "params": params,
     }
-    with open(out_dir / "splits.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(manifest, out_dir / "splits.json")
     return manifest
 
 

@@ -368,13 +368,11 @@ class DecisionTree(Predictor):
         return predict_tree(self.tree, self._as_matrix(X))
 
 
-def train_tree(X, y, max_depth=None, min_leaf=1, objective="gini",
-               feature_names=None) -> DecisionTree:
+def train_tree(X, y, max_depth=None, min_leaf=1, feature_names=None) -> DecisionTree:
     """Greedy best-split CART; stops on depth, min_leaf, or zero gain."""
     X = np.asarray(X, dtype=float)
     if feature_names is None:
         feature_names = ["x%d" % j for j in range(X.shape[1])]
-    tree = build_tree(X, np.asarray(y, dtype=float), objective=objective,
+    tree = build_tree(X, np.asarray(y, dtype=float), objective="gini",
                       max_depth=max_depth, min_leaf=min_leaf)
-    return DecisionTree(tree, feature_names, max_depth=max_depth,
-                        min_leaf=min_leaf, objective=objective)
+    return DecisionTree(tree, feature_names, max_depth=max_depth, min_leaf=min_leaf)

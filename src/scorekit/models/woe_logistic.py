@@ -38,14 +38,12 @@ class WoeLogisticModel(Predictor):
 
 
 def train_woe_logistic(dataset, features=None, max_bins=10, min_bin_frac=0.05,
-                       smoothing=0.5, tol=1e-8, max_iter=100,
-                       ridge=1e-8) -> WoeLogisticModel:
+                       smoothing=0.5) -> WoeLogisticModel:
     """Fit WOE tables on the given (training) dataset, then logistic on top."""
     names = dataset.feature_names if features is None else list(features)
     tables = fit_woe_tables(dataset.select(names), max_bins=max_bins,
                             min_bin_frac=min_bin_frac, smoothing=smoothing)
     transformed = woe_transform(dataset.select(names), tables)
     logistic = train_logistic(transformed.matrix(names), dataset.target,
-                              tol=tol, max_iter=max_iter, ridge=ridge,
                               feature_names=names)
     return WoeLogisticModel(tables, logistic, names)

@@ -9,27 +9,13 @@ reach a minimum K-S separation between goods and bads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-import numpy as np
-
-from .data import Dataset
+from .config import load_config
+from .data import Dataset, write_json
 from .errors import BadParameter
 from .metrics import MetricReport, ks_statistic
 from .models.boosting import train_xgb
-
-DEFAULT_XGB_CONFIG = {
-    "n_trees": 50,
-    "learning_rate": 0.1,
-    "max_depth": 4,
-    "lam": 1.0,
-    "gamma": 0.0,
-    "subsample": 1.0,
-    "colsample": 1.0,
-}
-
 
 @dataclass
 class SelectionReport:
@@ -66,9 +52,7 @@ class SelectionReport:
         }
 
     def save(self, path):
-        with open(Path(path), "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
 
 def split_by_unique_count(d: Dataset, threshold: int) -> tuple[list[str], list[str]]:
@@ -85,13 +69,14 @@ def preselect_by_boosting(d: Dataset, partitions, top_k: int, seed: int = 0,
                           config: dict | None = None) -> tuple[list[str], dict]:
     """Rank features by total split gain of per-partition boosted models.
 
+    The models take `config` laid over `selection.xgb` of the packaged
+    defaults, and train_xgb's own defaults for what neither sets.
     Returns (survivors, importance). Zero-importance features are never
     retained, even when top_k exceeds the nonzero count.
     """
     if top_k < 1:
         raise BadParameter("top_k must be >= 1, got %r" % top_k)
-    params = dict(DEFAULT_XGB_CONFIG)
-    params.update(config or {})
+    params = {**load_config()["selection"]["xgb"], **(config or {})}
     importance: dict[str, float] = {}
     for part_idx, names in enumerate(partitions):
         names = [n for n in names if n in d.feature_names]
@@ -124,9 +109,8 @@ def ks_filter(d: Dataset, features, min_ks: float) -> tuple[list[str], dict]:
     return survivors, ks_by_feature
 
 
-def run_selection(d: Dataset, unique_threshold: int = 300, top_k: int = 81,
-                  min_ks: float = 0.1, seed: int = 0,
-                  xgb_config: dict | None = None) -> SelectionReport:
+def run_selection(d: Dataset, unique_threshold: int, top_k: int, min_ks: float,
+                  seed: int = 0, xgb_config: dict | None = None) -> SelectionReport:
     """The full pipeline: cardinality split, boosted ranking, K-S filter."""
     low, high = split_by_unique_count(d, unique_threshold)
     report = SelectionReport(unique_threshold=unique_threshold, top_k=top_k,

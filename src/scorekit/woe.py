@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Feature
+from .data import CATEGORICAL, NUMERIC, Dataset, Feature, write_json
 from .errors import NoMissingBin
 
 OTHER_LEVEL = "__OTHER__"  # pool for rare categorical levels
@@ -301,18 +301,16 @@ def fit_woe_tables(d: Dataset, features=None, max_bins: int = 10,
     return tables
 
 
-def woe_transform(d: Dataset, tables: dict, require_all: bool = False) -> Dataset:
+def woe_transform(d: Dataset, tables: dict) -> Dataset:
     """Replace covered features by their per-row WOE value.
 
-    Features without a table pass through untouched unless require_all.
-    Tables fitted on train apply unchanged to held-out splits.
+    Features without a table pass through untouched. Tables fitted on
+    train apply unchanged to held-out splits.
     """
     out = []
     for f in d.features:
         table = tables.get(f.name)
         if table is None:
-            if require_all:
-                raise ValueError("no WOE table for feature %s" % f.name)
             out.append(f)
         else:
             out.append(Feature(f.name, NUMERIC, table.transform(f.values)))
@@ -325,9 +323,7 @@ def save_woe_tables(tables: dict, path):
         "schema_version": 1,
         "tables": {name: t.to_dict() for name, t in sorted(tables.items())},
     }
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_woe_tables(path) -> dict:

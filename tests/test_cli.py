@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from scorekit import cli
 from scorekit.cli import main
-from scorekit.data import load_csv
+from scorekit.data import load_csv, load_splits
 from scorekit.models import load_model
+from scorekit.selection import run_selection
 
 
 def run(*argv):
@@ -67,7 +69,9 @@ class TestSynthSplitSelect:
         ("a,default,obs_date\n1,0,2018-01-01\n2,1\n", "bad.csv line 3: 2 cells, header has 3"),
         ("a,default,obs_date\n1,0,2018-01-01\n2,1,2018-02-30\n",
          "bad.csv row 1: date '2018-02-30' does not parse"),
-    ], ids=["short_row", "bad_date"])
+        ("a,default,obs_date,a\n1,0,2018-01-01,7\n",
+         "bad.csv: header names column a 2 times"),
+    ], ids=["short_row", "bad_date", "duplicate_column"])
     def test_malformed_csv_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="utf-8")
@@ -78,6 +82,17 @@ class TestSynthSplitSelect:
         assert code == 2
         err = capsys.readouterr().err
         assert "MalformedCsv" in err and message in err
+
+    def test_library_selection_matches_cli_defaults(self, tmp_path):
+        out = tmp_path / "run"
+        (tmp_path / "cfg.yaml").write_text("synth: {n_rows: 1500}\n", encoding="utf-8")
+        assert run("synth", "--config", tmp_path / "cfg.yaml", "--out", out, "--seed", 2) == 0
+        assert run("split", "--config", out / "config.yaml", "--out", out) == 0
+        assert run("select", "--config", out / "config.yaml", "--out", out) == 0
+        splits, _ = load_splits(out / "splits")
+        # no xgb_config: the library reads selection.xgb from the same defaults
+        report = run_selection(splits.train, 300, 81, 0.1, seed=2)
+        assert report.to_dict() == json.loads((out / "selection.json").read_text())
 
     def test_selection_artifacts(self, pipeline_dir):
         report = json.loads((pipeline_dir / "selection.json").read_text())
@@ -171,7 +186,11 @@ class TestTrainPredictExplainReport:
         cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
         code = run("train", "--family", family, "--config", cfg, "--out", pipeline_dir)
         assert code == 2
-        assert "n_trees >= %d, got %r" % (family == "forest", n_trees) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if isinstance(n_trees, float):  # stopped by the config's type check
+            assert "config key models.%s.n_trees takes int, got %r" % (family, n_trees) in err
+        else:
+            assert "n_trees >= %d, got %r" % (family == "forest", n_trees) in err
 
     def test_unknown_family_exit_2(self, pipeline_dir, capsys):
         code = run("train", "--family", "perceptron",
@@ -264,11 +283,16 @@ class TestTrainPredictExplainReport:
     ], ids=["oot_order", "oot_date", "oot_end_early", "unique_threshold", "top_k", "min_ks",
             "min_gini", "n_repeats", "grid_points", "background_rows", "background_negative",
             "schema_kind"])
-    def test_out_of_range_config_value_exit_2(self, pipeline_dir, capsys, argv, key, value,
-                                              message):
+    def test_out_of_range_config_value_exit_2(self, pipeline_dir, capsys, monkeypatch, argv,
+                                              key, value, message):
         cfg = pipeline_dir / "config.yaml"
         model = pipeline_dir / "model_logistic.json"
         assert run("train", "--family", "logistic", "--config", cfg, "--out", pipeline_dir) == 0
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a bad value must stop train before the fit")
+
+        monkeypatch.setattr(cli, "train_family", no_fit)
         doc = yaml.safe_load(cfg.read_text())
         section, name = key.split(".")
         doc[section][name] = value

@@ -1,6 +1,7 @@
 """The packaged commented YAML is the only source of defaults, and every user
 key is checked against it."""
 
+import datetime
 import json
 import re
 import tomllib
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from scorekit.cli import DEFAULTS_PATH, _YAML_LOADER, _write_resolved_config, load_config, main
+from scorekit.cli import _write_resolved_config, main
+from scorekit.config import DEFAULTS_PATH, _YAML_LOADER, load_config
 from scorekit.errors import BadParameter
 
 
@@ -85,9 +87,19 @@ def test_resolved_config_is_a_fixed_point(tmp_path):
     ({"seed": {"value": 3}}, "config key seed takes a single value, not a mapping"),
     ({"models": {"tree": {"max_depth": {"max": 3}}}},
      "config key models.tree.max_depth takes a single value, not a mapping"),
+    ({"models": {"tree": {"max_depth": "six"}}},
+     "config key models.tree.max_depth takes int, got 'six'"),
+    ({"models": {"gbm": {"learning_rate": "0.1"}}},
+     "config key models.gbm.learning_rate takes int or float, got '0.1'"),
+    ({"models": {"tree": {"min_leaf": 2.5}}},
+     "config key models.tree.min_leaf takes int, got 2.5"),
+    ({"seed": True}, "config key seed takes int, got True"),
+    ({"models": {"forest": {"mtry": "3"}}},
+     "config key models.forest.mtry takes null or int, got '3'"),
 ], ids=["misspelt", "top_level", "gbm_param", "forest_param", "space_param",
         "space_family", "scalar_for_mapping", "null_for_mapping", "mapping_for_scalar",
-        "nested_mapping_for_scalar"])
+        "nested_mapping_for_scalar", "str_for_int", "str_for_float", "float_for_int",
+        "bool_for_int", "str_for_null"])
 def test_unknown_key_or_wrong_shape_rejected(tmp_path, override, message):
     user = tmp_path / "cfg.yaml"
     user.write_text(yaml.safe_dump(override), encoding="utf-8")
@@ -95,6 +107,20 @@ def test_unknown_key_or_wrong_shape_rejected(tmp_path, override, message):
         load_config(user)
     with pytest.raises(BadParameter, match="^%s$" % re.escape(message)):
         load_config(None, override)
+
+
+def test_value_types_that_are_accepted(tmp_path):
+    user = tmp_path / "cfg.yaml"
+    user.write_text("data:\n  csv: data.csv\n"
+                    "split:\n  oot_start: 2018-08-31\n"
+                    "models:\n  gbm: {subsample: 1}\n  forest: {max_depth: 12, mtry: null}\n",
+                    encoding="utf-8")
+    config = load_config(user)
+    assert config["data"]["csv"] == "data.csv"
+    assert config["split"]["oot_start"] == datetime.date(2018, 8, 31)
+    assert config["models"]["gbm"]["subsample"] == 1
+    assert config["models"]["forest"]["max_depth"] == 12
+    assert config["models"]["forest"]["mtry"] is None
 
 
 def test_config_that_does_not_parse_rejected(tmp_path):

@@ -14,8 +14,6 @@ from scorekit.data import (
     Feature,
     MeanImputer,
     _parse_float,
-    dummy_encode,
-    impute_mean,
     load_csv,
     load_splits,
     save_splits,
@@ -217,25 +215,25 @@ class TestDatasetInvariants:
 class TestImputeMean:
     def test_fills_with_mean(self):
         d = numeric_dataset({"a": [1.0, np.nan, 3.0]}, [0, 1, 0])
-        out = impute_mean(d)
+        out = MeanImputer().fit(d).transform(d)
         assert out.feature("a").values.tolist() == [1.0, 2.0, 3.0]
 
     def test_no_missing_unchanged(self):
         d = numeric_dataset({"a": [1.0, 2.0]}, [0, 1])
-        out = impute_mean(d)
+        out = MeanImputer().fit(d).transform(d)
         assert out.feature("a").values.tolist() == [1.0, 2.0]
 
     def test_all_missing_column_dropped_with_warning(self, caplog):
         d = numeric_dataset({"a": [np.nan, np.nan], "b": [1.0, 2.0]}, [0, 1])
         with caplog.at_level(logging.WARNING):
-            out = impute_mean(d)
+            out = MeanImputer().fit(d).transform(d)
         assert out.feature_names == ["b"]
         assert any("no observed values" in rec.message for rec in caplog.records)
 
     def test_idempotent(self):
         d = numeric_dataset({"a": [1.0, np.nan, 3.0, np.nan]}, [0, 1, 0, 1])
-        once = impute_mean(d)
-        twice = impute_mean(once)
+        once = MeanImputer().fit(d).transform(d)
+        twice = MeanImputer().fit(once).transform(once)
         assert once.feature("a").values.tolist() == twice.feature("a").values.tolist()
 
     def test_train_means_applied_to_heldout(self):
@@ -249,7 +247,7 @@ class TestImputeMean:
     def test_categorical_missing_level(self):
         d = Dataset([Feature("c", CATEGORICAL, np.array(["x", None, "y"], dtype=object))],
                     [0, 1, 0])
-        out = impute_mean(d)
+        out = MeanImputer().fit(d).transform(d)
         assert out.feature("c").values[1] == "MISSING"
 
 
@@ -261,13 +259,13 @@ class TestDummyEncode:
 
     def test_most_frequent_is_reference(self):
         d = self.make(["A", "A", "B", "C", "A", "B"])
-        out = dummy_encode(d, ["c"])
+        out = DummyEncoder(["c"]).fit(d).transform(d)
         assert out.feature_names == ["c=B", "c=C"]
         assert out.feature("c=B").values.tolist() == [0, 0, 1, 0, 0, 1]
 
     def test_single_level_dropped(self):
         d = self.make(["A", "A", "A", "A"])
-        out = dummy_encode(d, ["c"])
+        out = DummyEncoder(["c"]).fit(d).transform(d)
         assert out.feature_names == []
 
     def test_unseen_level_all_zeros(self):
@@ -288,7 +286,7 @@ class TestDummyEncode:
     def test_non_categorical_rejected(self):
         d = numeric_dataset({"a": [1, 2]}, [0, 1])
         with pytest.raises(UnknownColumn):
-            dummy_encode(d, ["a"])
+            DummyEncoder(["a"]).fit(d)
 
 
 def dated_dataset(n=400, seed=0):

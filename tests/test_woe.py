@@ -184,14 +184,12 @@ class TestWoeTransform:
         out = woe_transform(test, tables)
         assert set(out.feature("x").values.tolist()) <= train_levels
 
-    def test_passthrough_vs_require_all(self, rng):
+    def test_features_without_table_pass_through(self, rng):
         d = numeric_dataset({"x": rng.normal(size=100), "z": rng.normal(size=100)},
                             np.r_[0, 1, rng.integers(0, 2, 98)])
         tables = fit_woe_tables(d, features=["x"])
         out = woe_transform(d, tables)
         assert np.array_equal(out.feature("z").values, d.feature("z").values)
-        with pytest.raises(ValueError):
-            woe_transform(d, tables, require_all=True)
 
 
 def test_tables_json_round_trip(tmp_path, rng):
