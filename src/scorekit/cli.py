@@ -44,7 +44,7 @@ from .data import (
     CATEGORICAL,
     NUMERIC,
 )
-from .errors import BadParameter, ScorekitError
+from .errors import BadParameter, ScorekitError, UnknownColumn
 from .explain import (
     break_down,
     ceteris_paribus,
@@ -231,14 +231,14 @@ def cmd_select(args, config) -> int:
     return 0
 
 
-def _selected_features(out_dir, config, splits) -> list[str]:
+def _selected_features(out_dir, schema: dict) -> list[str]:
     features_path = Path(out_dir) / "features.txt"
     if features_path.exists():
         names = [line.strip() for line in features_path.read_text(encoding="utf-8").splitlines()
                  if line.strip()]
         if names:
             return names
-    return splits.train.feature_names
+    return list(schema)
 
 
 def train_family(family: str, splits, names, config, threads: int = 1):
@@ -285,14 +285,17 @@ def train_family(family: str, splits, names, config, threads: int = 1):
 
 def cmd_train(args, config) -> int:
     out_dir = Path(args.out)
-    splits, _ = _load_splits_checked(out_dir)
+    split_dir = _split_dir_checked(out_dir)
+    schema = read_split_manifest(split_dir)["schema"]
     family = args.family
     if family not in FAMILIES:
         raise ScorekitError("unknown model family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
-    names = args.features.split(",") if args.features else _selected_features(out_dir, config, splits)
+    names = args.features.split(",") if args.features else _selected_features(out_dir, schema)
     for name in names:
-        splits.train.feature(name)  # raises UnknownColumn early
+        if name not in schema:
+            raise UnknownColumn(name)
     reject_models([], config["models"]["min_gini"])  # range-checks min_gini before the fit
+    splits, _ = load_splits(split_dir, columns=names)  # parses only the model's columns
 
     t0 = time.perf_counter()
     model, train_config = train_family(family, splits, names, config,

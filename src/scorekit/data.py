@@ -415,27 +415,35 @@ def temporal_split(
 # ---------------------------------------------------------------------------
 # persistence: JSON artifacts, and splits as CSVs plus a JSON manifest
 
-def _format_cell(f: Feature, i: int) -> str:
+# rows formatted per block by write_csv: its memory grows with the block,
+# and the per-block cost of the column comprehensions shrinks
+WRITE_ROWS = 1024
+
+
+def _format_column(f: Feature, start: int, stop: int) -> list:
+    """The cells of rows start..stop-1 of a column: floats via repr, missing
+    as empty."""
+    values = f.values[start:stop].tolist()
     if f.kind == NUMERIC:
-        v = f.values[i]
-        return "" if np.isnan(v) else repr(float(v))
-    v = f.values[i]
-    return "" if v is None else str(v)
+        return ["" if v != v else repr(v) for v in values]
+    return ["" if v is None else str(v) for v in values]
 
 
 def write_csv(d: Dataset, path, target: str = "target", date_col: str = "obs_date"):
-    """Write a Dataset back to CSV (floats via repr, missing as empty)."""
+    """Write a Dataset back to CSV (floats via repr, missing as empty), one
+    block of WRITE_ROWS rows at a time, formatted column by column."""
     path = Path(path)
     header = d.feature_names + [target] + ([date_col] if d.obs_date is not None else [])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(d.n_rows):
-            row = [_format_cell(f, i) for f in d.features]
-            row.append(str(int(d.target[i])))
+        for start in range(0, d.n_rows, WRITE_ROWS):
+            stop = start + WRITE_ROWS
+            columns = [_format_column(f, start, stop) for f in d.features]
+            columns.append([str(v) for v in d.target[start:stop].tolist()])
             if d.obs_date is not None:
-                row.append(str(d.obs_date[i]))
-            writer.writerow(row)
+                columns.append(d.obs_date[start:stop].astype(str).tolist())
+            writer.writerows(zip(*columns))
 
 
 def _json_default(o):
@@ -485,19 +493,21 @@ def read_split_manifest(split_dir) -> dict:
         return json.load(fh)
 
 
-def load_split_part(split_dir, manifest: dict, name: str) -> Dataset:
-    """Load one part of a SplitSet written by save_splits, reading only its CSV."""
+def load_split_part(split_dir, manifest: dict, name: str, columns=None) -> Dataset:
+    """Load one part of a SplitSet written by save_splits, reading only its
+    CSV, and of its schema columns only those in `columns` (all when None)."""
     return load_csv(
         Path(split_dir) / manifest["files"][name],
         manifest["schema"],
         target=manifest["target"],
         date_col=manifest["date_col"],
+        columns=columns,
     )
 
 
-def load_splits(split_dir) -> tuple[SplitSet, dict]:
-    """Load a SplitSet written by save_splits."""
+def load_splits(split_dir, columns=None) -> tuple[SplitSet, dict]:
+    """Load a SplitSet written by save_splits; `columns` as for load_split_part."""
     manifest = read_split_manifest(split_dir)
-    parts = {name: load_split_part(split_dir, manifest, name)
+    parts = {name: load_split_part(split_dir, manifest, name, columns)
              for name in manifest["files"]}
     return SplitSet(**parts), manifest

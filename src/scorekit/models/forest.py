@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..errors import ScorekitError
 from .base import Predictor
-from .tree import Tree, build_tree, predict_tree
+from .tree import Tree, grow_trees, predict_tree
 
 
 class ForestModel(Predictor):
@@ -48,9 +47,10 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
                         feature_names=None, threads=1) -> ForestModel:
     """Fit n_trees CART trees on independent bootstrap samples.
 
-    mtry defaults to ceil(sqrt(p)). Each tree draws its own RNG stream
-    from (seed, tree index), so results do not depend on thread count or
-    scheduling order.
+    mtry defaults to ceil(sqrt(p)). Each tree draws its bootstrap sample and
+    its mtry columns from its own RNG stream (seed, tree index), and the
+    trees grow side by side (`grow_trees`), so results do not depend on
+    thread count or scheduling order. y must be 0/1.
     """
     if not isinstance(n_trees, numbers.Integral) or n_trees < 1:
         raise ScorekitError("a forest needs an integer n_trees >= 1, got %r" % (n_trees,))
@@ -63,21 +63,11 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
     if feature_names is None:
         feature_names = ["x%d" % j for j in range(p)]
 
-    def build(t):
-        rng = np.random.default_rng((seed, t))
-        if bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        return build_tree(X[rows], y[rows], objective="gini",
-                          max_depth=max_depth, min_leaf=min_leaf,
-                          mtry=mtry, rng=rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_trees)))
-    else:
-        trees = [build(t) for t in range(n_trees)]
+    rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
+    trees = grow_trees(X, y, None,
+                       [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs],
+                       rngs, objective="gini", max_depth=max_depth, min_leaf=min_leaf,
+                       mtry=mtry, threads=threads)
 
     return ForestModel(trees, feature_names, n_trees=n_trees, mtry=mtry,
                        seed=seed, max_depth=max_depth, min_leaf=min_leaf,

@@ -26,7 +26,9 @@ def _logistic_block(model: LogisticModel) -> dict:
     }
 
 
-def model_to_dict(model, train_config: dict | None = None) -> dict:
+def _document(model, train_config: dict | None) -> dict:
+    """The model document, its trees left as `Tree`s: "nodes" holds the
+    single tree's, "trees" a list of them."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "model_kind": model.model_kind,
@@ -39,23 +41,32 @@ def model_to_dict(model, train_config: dict | None = None) -> dict:
     elif isinstance(model, LogisticModel):
         doc.update(_logistic_block(model))
     elif isinstance(model, DecisionTree):
-        doc["nodes"] = tree_to_flat(model.tree)
+        doc["nodes"] = model.tree
         doc["max_depth"] = model.max_depth
         doc["min_leaf"] = model.min_leaf
         doc["objective"] = model.objective
     elif isinstance(model, ForestModel):
-        doc["trees"] = [tree_to_flat(t) for t in model.trees]
+        doc["trees"] = model.trees
         doc.update(n_trees=model.n_trees, mtry=model.mtry, seed=model.seed,
                    max_depth=model.max_depth, min_leaf=model.min_leaf,
                    bootstrap=model.bootstrap, hard_vote=model.hard_vote)
     elif isinstance(model, BoostedModel):
-        doc["trees"] = [tree_to_flat(t) for t in model.trees]
+        doc["trees"] = model.trees
         doc.update(initial_score=model.initial_score,
                    learning_rate=model.learning_rate,
                    variant=model.variant, lam=model.lam, gamma=model.gamma,
                    params=model.params)
     else:
         raise TypeError("cannot serialize model of type %s" % type(model).__name__)
+    return doc
+
+
+def model_to_dict(model, train_config: dict | None = None) -> dict:
+    doc = _document(model, train_config)
+    if "nodes" in doc:
+        doc["nodes"] = tree_to_flat(doc["nodes"])
+    if "trees" in doc:
+        doc["trees"] = [tree_to_flat(t) for t in doc["trees"]]
     return doc
 
 
@@ -90,10 +101,25 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, path, train_config: dict | None = None):
+    """Write the bytes of json.dump(model_to_dict(...), sort_keys=True,
+    separators=(",", ":")) and a newline, one tree at a time: each value and
+    each tree's node list goes through the C encoder on its own, so the
+    node records of all trees never exist at once."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    doc = _document(model, train_config)
     with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, train_config), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            fh.write("%s%s:" % ("," if i else "{", encode(key)))
+            if key == "nodes":
+                fh.write(encode(tree_to_flat(doc[key])))
+            elif key == "trees":
+                fh.write("[")
+                for t, tree in enumerate(doc[key]):
+                    fh.write("%s%s" % ("," if t else "", encode(tree_to_flat(tree))))
+                fh.write("]")
+            else:
+                fh.write(encode(doc[key]))
+        fh.write("}\n")
 
 
 def load_model(path):

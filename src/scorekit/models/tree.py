@@ -6,11 +6,14 @@ One builder serves three objectives:
   - "grad":  second-order boosting, leaves hold -G/(H+lambda) and splits
              use the regularized gain with a gamma penalty
 
-The split search is vectorized across all candidate features at once:
-sort each column, prefix-sum the targets, and score every boundary
-between distinct adjacent values in one shot. Ties go to the first
-(lowest feature index, lowest threshold) candidate, which keeps trees
-deterministic regardless of thread count.
+One split search serves every node: it takes a frontier of nodes, from
+one tree or from many grown side by side (`grow_trees`), and for each
+node sorts each candidate column, prefix-sums the targets, and scores
+every boundary between distinct adjacent values, all in one batch. Ties
+go to the first candidate in (left size, column) order, as np.argmax over
+a node's (boundary, column) gains takes it, which keeps trees
+deterministic regardless of thread count and of the trees grown beside
+them.
 
 A tree is a `Tree` of parallel node arrays in preorder, left child first:
 the order of the v1 JSON node list, so `tree_to_flat` / `tree_from_flat`
@@ -22,10 +25,14 @@ every row as the walk does and scores all trees in one pass.
 
 from __future__ import annotations
 
+import math
+from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ScorekitError
 from .base import Predictor
 
 
@@ -55,21 +62,6 @@ LEAF_DEFAULTS = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
                  "n": 0, "gain": 0.0}
 
 
-def _boundary_stats(Xn, a, b=None):
-    """Sort each column and prefix-sum targets over it.
-
-    Returns (xs, nL, sums_a_left, sums_b_left, total_a, total_b) where row i
-    describes the boundary after sorted position i (left size i+1).
-    """
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ca = np.cumsum(a[order], axis=0)
-    cb = np.cumsum(b[order], axis=0) if b is not None else None
-    total_a = ca[-1]
-    total_b = cb[-1] if cb is not None else None
-    return xs, ca[:-1], (None if cb is None else cb[:-1]), total_a, total_b
-
-
 def _score_two_class(nL, nR, sL, sR):
     # maximizing this equals minimizing weighted child Gini impurity
     return (sL * sL + (nL - sL) * (nL - sL)) / nL + (sR * sR + (nR - sR) * (nR - sR)) / nR
@@ -96,54 +88,265 @@ def leaf_weight_grad(g_sum, h_sum, lam):
     return -g_sum / (h_sum + lam)
 
 
-def _find_split(Xn, a, b, objective, min_leaf, lam, gamma):
-    """Best (feature j within Xn, threshold, gain) or None."""
-    m = Xn.shape[0]
-    if m < 2 * min_leaf or m < 2:
-        return None
-    xs, sL_a, sL_b, tot_a, tot_b = _boundary_stats(Xn, a, b)
-    nL = np.arange(1, m, dtype=float).reshape(-1, 1)
-    nR = m - nL
-    valid = xs[:-1] < xs[1:]
-    valid &= (nL >= min_leaf) & (nR >= min_leaf)
-    if not valid.any():
-        return None
-
-    if objective == "gini":
-        score = _score_two_class(nL, nR, sL_a, tot_a - sL_a)
-        total = float(tot_a[0])
-        parent = (total * total + (m - total) * (m - total)) / m
-        gain = (score - parent) / m
-        floor = 1e-12
-    elif objective == "mse":
-        score = _score_sse(nL, nR, sL_a, tot_a - sL_a)
-        total = float(tot_a[0])
-        parent = total * total / m
-        gain = (score - parent) / m
-        floor = 1e-12 * max(1.0, abs(parent) / m)
-    elif objective == "grad":
-        gain = split_gain_grad(sL_a, sL_b, tot_a - sL_a, tot_b - sL_b, lam, gamma)
-        floor = 0.0
-    else:
-        raise ValueError("unknown objective %r" % objective)
-
-    gain = np.where(valid, gain, -np.inf)
-    flat = int(np.argmax(gain))
-    i, j = divmod(flat, Xn.shape[1])
-    best_gain = float(gain[i, j])
-    if not best_gain > floor:
-        return None
-    lo, hi = xs[i, j], xs[i + 1, j]
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:  # adjacent floats; keep the exact partition
-        threshold = lo
-    return j, float(threshold), best_gain
-
-
 def _leaf_value(objective, a, b, lam):
     if objective == "grad":
-        return leaf_weight_grad(float(np.sum(a)), float(np.sum(b)), lam)
-    return float(np.mean(a))
+        return leaf_weight_grad(float(a.sum()), float(b.sum()), lam)
+    return float(a.mean())
+
+
+# (candidate column x row) cells of one batched split search. It bounds the
+# search's working arrays, a few dozen of one word a cell; smaller chunks
+# pay more numpy calls, larger ones run out of cache. A node with more
+# cells than this is searched on its own
+SPLIT_CELLS = 1 << 14
+
+
+def _column_ranks(XT) -> np.ndarray:
+    """Dense rank of every value of XT (columns x rows) within its column:
+    equal values share a rank (-0.0 and 0.0 too) and NaN ranks above every
+    number, as a stable sort of the values orders them."""
+    p, n = XT.shape
+    at = np.argsort(XT, axis=1) + (np.arange(p) * n)[:, None]  # flat index, in sorted order
+    xs = XT.ravel().take(at)
+    dense = np.zeros(XT.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    ranks.put(at, dense)
+    ranks[np.isnan(XT)] = n
+    return ranks
+
+
+def _prefix_sums(v, starts, ends, exact):
+    """Running sums of v (columns x rows) along each node's rows, and each
+    node's totals: the frontier's running sums, restarted at every node.
+    With `exact` (integer-valued sums, as of 0/1 targets) a node's running
+    sum is the frontier's less its value before the node; float sums would
+    round differently, so they are summed again node by node."""
+    run = v.cumsum(axis=1)
+    if len(starts) > 1 and exact:
+        before = run.take(starts - 1, axis=1)
+        before[:, 0] = 0.0
+        run -= before.repeat(ends - starts, axis=1)
+    elif len(starts) > 1:
+        for s, e in zip(starts[1:].tolist(), ends[1:].tolist()):
+            v[:, s:e].cumsum(axis=1, out=run[:, s:e])
+    return run, run.take(ends - 1, axis=1)
+
+
+def _split_frontier(XT, ranks, a, b, sample, pos, sizes, cols, objective, min_leaf,
+                    lam, gamma):
+    """The best split of every node of a frontier, in one batched search.
+
+    XT is X transposed (columns x rows) and `ranks` its _column_ranks. Node
+    s owns the next sizes[s] (at least 2) entries of `pos`, positions in
+    `sample` (a row id of X each) ascending in the node's order, and may
+    split on the columns cols[s]. Per node and column this is a stable sort
+    of the values (ties by position, NaN last), prefix sums of the targets
+    over it, the gain of every boundary between distinct adjacent values
+    that leaves min_leaf rows a side, and the first maximum in (boundary,
+    column) order. One sort of (node, value rank, position) keys gives every
+    node its own order. Arrays are (candidate column x row), so that the
+    per-row terms broadcast along the long axis.
+
+    Returns (split, feature, threshold, gain, column, lo, mid, hi, sum_left,
+    order) over the nodes that split: their indices, the chosen split, the
+    index of its column in cols, and `order`, each node's positions sorted
+    along each candidate column, so that order[column, lo:mid] holds the
+    positions of a splitting node's left rows and order[column, mid:hi]
+    those of its right rows; sum_left is the sum of `a` over the left rows.
+    """
+    n = XT.shape[1]
+    k = cols.shape[1]
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    at = (cols.T * n).repeat(sizes, axis=1)  # each cell's column start in XT and ranks
+    # (node, rank, position) packed in one int64, so that a plain sort is stable
+    shift = len(sample).bit_length()
+    order = ranks.ravel().take(at + sample.take(pos))
+    order <<= shift
+    order += (np.arange(0, len(sizes) * (n + 1), n + 1).repeat(sizes) << shift) | pos
+    order.sort(axis=1)
+    order &= (1 << shift) - 1
+    rows = sample.take(order)
+    at += rows
+    xs = XT.ravel().take(at)
+    exact = objective == "gini"
+    sum_a, tot_a = _prefix_sums(a.take(rows), starts, ends, exact)
+
+    n_left = np.arange(1.0, len(pos) + 1) - starts.repeat(sizes)
+    m = sizes.repeat(sizes).astype(float)
+    n_right = m - n_left
+    valid = np.zeros(xs.shape, dtype=bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=valid[:, :-1])
+    # n_right >= 1 also ends every node at its own last row
+    valid &= (n_left >= min_leaf) & (n_right >= max(min_leaf, 1))
+
+    total = tot_a[0]
+    sum_right = tot_a.repeat(sizes, axis=1) - sum_a
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_right = 0, never valid
+        if objective == "gini":
+            gain = _score_two_class(n_left, n_right, sum_a, sum_right)
+            parent = (total * total + (sizes - total) * (sizes - total)) / sizes
+            gain -= parent.repeat(sizes)
+            gain /= m
+            floor = 1e-12
+        elif objective == "mse":
+            gain = _score_sse(n_left, n_right, sum_a, sum_right)
+            parent = total * total / sizes
+            gain -= parent.repeat(sizes)
+            gain /= m
+            floor = 1e-12 * np.maximum(1.0, np.abs(parent) / sizes)
+        elif objective == "grad":
+            sum_b, tot_b = _prefix_sums(b.take(rows), starts, ends, exact)
+            gain = split_gain_grad(sum_a, sum_b, sum_right,
+                                   tot_b.repeat(sizes, axis=1) - sum_b, lam, gamma)
+            floor = 0.0
+        else:
+            raise ValueError("unknown objective %r" % objective)
+
+    np.copyto(gain, -np.inf, where=~valid)
+    best = np.maximum.reduceat(gain, starts, axis=1).max(axis=0)  # NaN if any gain is: no split
+    split = np.flatnonzero(best > floor)
+    # np.argmax within each node: the first maximum in (row, column) order
+    j, i = np.divmod(np.flatnonzero(gain == best.repeat(sizes)), len(pos))
+    hits = np.sort(i * k + j)
+    i, j = np.divmod(hits[np.searchsorted(hits, starts[split] * k)], k)
+    lo, hi = xs[j, i], xs[j, i + 1]
+    threshold = (lo + hi) / 2.0
+    threshold = np.where(threshold >= hi, lo, threshold)  # adjacent floats: keep the partition
+    return (split, cols[split, j], threshold, best[split], j, starts[split], i + 1,
+            ends[split], sum_a[j, i], order)
+
+
+def _chunks(cells):
+    """(lo, hi) runs of consecutive nodes of at most SPLIT_CELLS cells in
+    all, each run holding one node at least."""
+    lo, total = 0, 0
+    for hi, c in enumerate(cells):
+        if hi > lo and total + c > SPLIT_CELLS:
+            yield lo, hi
+            lo, total = hi, 0
+        total += c
+    if lo < len(cells):
+        yield lo, len(cells)
+
+
+NODE_ARRAYS = (("value", "d"), ("n", "q"), ("feature", "q"), ("threshold", "d"),
+               ("left", "q"), ("right", "q"), ("gain", "d"))
+
+
+def grow_trees(X, a, b, roots, rngs, objective="gini", max_depth=None, min_leaf=1,
+               mtry=None, lam=0.0, gamma=0.0, threads=1) -> list[Tree]:
+    """Grow one CART tree per entry of `roots`, the row ids of X (repeats
+    allowed, in order) that tree is fitted on, side by side.
+
+    `a` is the target (0/1 labels for "gini", residuals, or gradients); `b`
+    is the hessian column for the "grad" objective. Tree t grows depth first
+    from an explicit stack, so deep trees cannot hit the recursion limit, and
+    draws its mtry columns from rngs[t] at each node it tries to split. A
+    node is numbered when it is popped and the left child is popped right
+    after its parent, so the numbering is preorder, left child first, and a
+    right child fills in its parent's `right` when its turn comes. A node's
+    rows are held as their positions in `sample`, the roots end to end: in
+    the split search, ties break by position as they would by the row order
+    of a node.
+
+    Each step pops the next node of every tree that has one, in the tree's
+    own order, and searches all of them at once: a tree does not depend on
+    the trees grown beside it, nor on `threads`, which splits the trees into
+    that many contiguous groups grown in parallel.
+    """
+    X = np.asarray(X, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if b is not None:
+        b = np.asarray(b, dtype=float)
+    if objective == "gini":
+        bad = a[(a != 0.0) & (a != 1.0)]
+        if len(bad):
+            raise ScorekitError("a classification tree needs a 0/1 target, got %r"
+                                % float(bad[0]))
+    p = X.shape[1]
+    use_mtry = mtry is not None and mtry < p
+    if use_mtry and any(rng is None for rng in rngs):
+        raise ValueError("mtry sampling needs an rng")
+    XT = np.ascontiguousarray(X.T)
+    ranks = _column_ranks(XT)
+    sample = np.concatenate(roots).astype(np.int64)  # every tree's rows, one position each
+    offsets = np.cumsum([0] + [len(rows) for rows in roots])
+    del roots  # `sample` holds them now; this frees them if the caller kept none
+    width = mtry if use_mtry else p
+    gini = objective == "gini"
+    depth_cap = math.inf if max_depth is None else max_depth
+
+    def grow(group):
+        # per tree: its stack of (positions, depth, parent awaiting its right
+        # child or -1, sum of a over the rows) and its node arrays
+        stacks = [[(np.arange(offsets[t], offsets[t + 1]), 0, -1,
+                    float(a.take(sample[offsets[t]:offsets[t + 1]]).sum()))] for t in group]
+        nodes = [tuple(array(code) for _, code in NODE_ARRAYS) for _ in group]
+        live = list(range(len(group)))
+        while live:
+            frontier, draws = [], []
+            for t in live:
+                pos, depth, parent, total = stacks[t].pop()
+                value, count, feature, threshold, left, right, gain = nodes[t]
+                k = len(value)
+                if parent >= 0:
+                    right[parent] = k
+                m = len(pos)
+                if gini:  # the mean and purity of 0/1 labels, from their exact sum
+                    value.append(total / m)
+                    pure = total == 0.0 or total == m
+                else:  # float sums, added in the node's order
+                    pos.sort()
+                    rows = sample.take(pos)
+                    a_n = a.take(rows)
+                    value.append(_leaf_value(objective, a_n, None if b is None else b.take(rows), lam))
+                    pure = objective == "mse" and a_n.max() - a_n.min() == 0.0  # np.ptp
+                count.append(m)
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                gain.append(0.0)
+                if depth >= depth_cap or pure:
+                    continue
+                if use_mtry:
+                    draw = rngs[group[t]].choice(p, size=mtry, replace=False)
+                if m < 2 * min_leaf or m < 2 or not width:
+                    continue
+                frontier.append((t, k, pos, depth, total))
+                if use_mtry:
+                    draws.append(draw)
+            for lo, hi in _chunks([len(f[2]) * width for f in frontier]):
+                part = frontier[lo:hi]
+                cols = (np.sort(np.concatenate(draws[lo:hi]).reshape(-1, mtry), axis=1)
+                        if use_mtry else np.arange(p)[None].repeat(len(part), axis=0))
+                *found, order = _split_frontier(
+                    XT, ranks, a, b, sample, np.concatenate([f[2] for f in part]),
+                    np.array([len(f[2]) for f in part]), cols, objective, min_leaf, lam, gamma)
+                for s, f, thr, g, j, start, mid, end, sum_left in zip(*(v.tolist() for v in found)):
+                    t, k, _, depth, total = part[s]
+                    _, _, feature, threshold, left, _, gain = nodes[t]
+                    feature[k] = f
+                    threshold[k] = thr
+                    gain[k] = g
+                    left[k] = k + 1
+                    # copies: a child waiting on a stack must not hold the chunk's array
+                    stacks[t].append((order[j, mid:end].copy(), depth + 1, k, total - sum_left))
+                    stacks[t].append((order[j, start:mid].copy(), depth + 1, -1, sum_left))
+            live = [t for t in live if stacks[t]]
+        return [Tree(**{name: np.frombuffer(arr, dtype=arr.typecode)  # no copy
+                        for (name, _), arr in zip(NODE_ARRAYS, fields)})
+                for fields in nodes]
+
+    n_trees = len(offsets) - 1
+    step = max(1, -(-n_trees // max(threads, 1)))
+    groups = [range(lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step)]
+    if len(groups) == 1:
+        return grow(groups[0])
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        return [tree for trees in pool.map(grow, groups) for tree in trees]
 
 
 def build_tree(
@@ -158,53 +361,11 @@ def build_tree(
     lam: float = 0.0,
     gamma: float = 0.0,
 ) -> Tree:
-    """Grow a CART tree greedily. `a` is the target (y, residuals, or
-    gradients); `b` is the hessian column for the "grad" objective.
-
-    Built iteratively with an explicit stack so fully grown trees cannot
-    hit the interpreter recursion limit. A node is numbered when it is
-    popped; the left child is popped right after its parent, so the
-    numbering is preorder, left child first, and a right child fills in
-    its parent's `right` when its turn comes.
-    """
-    X = np.asarray(X, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if b is not None:
-        b = np.asarray(b, dtype=float)
-    n, p = X.shape
-    use_mtry = mtry is not None and mtry < p
-    if use_mtry and rng is None:
-        raise ValueError("mtry sampling needs an rng")
-
-    nodes = []  # v1 node records, in the order they are numbered
-    stack = [(np.arange(n), 0, None)]  # rows, depth, parent awaiting its right child
-    while stack:
-        idx, depth, parent = stack.pop()
-        if parent is not None:
-            parent["right"] = len(nodes)
-        a_n = a[idx]
-        b_n = None if b is None else b[idx]
-        node = {"value": _leaf_value(objective, a_n, b_n, lam), "n": len(idx)}
-        nodes.append(node)
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if objective in ("gini", "mse") and np.ptp(a_n) == 0.0:
-            continue  # pure node, zero gain everywhere
-
-        if use_mtry:
-            cols = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            cols = np.arange(p)
-        found = _find_split(X[np.ix_(idx, cols)], a_n, b_n, objective, min_leaf, lam, gamma)
-        if found is None:
-            continue
-        j, threshold, gain = found
-        node.update(feature=int(cols[j]), threshold=threshold, gain=gain,
-                    left=len(nodes), right=-1)
-        mask = X[idx, node["feature"]] <= threshold
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, None))
-    return tree_from_flat(nodes)
+    """Grow one CART tree greedily on all rows of X: `grow_trees` with a
+    single tree, whose search sees one node at a time."""
+    return grow_trees(X, a, b, [np.arange(len(X))], [rng], objective=objective,
+                      max_depth=max_depth, min_leaf=min_leaf, mtry=mtry, lam=lam,
+                      gamma=gamma)[0]
 
 
 def tree_leaves(tree: Tree, X) -> np.ndarray:

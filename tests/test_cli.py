@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from scorekit import cli
+from scorekit import data as data_module
 from scorekit.cli import main
 from scorekit.data import load_csv, load_splits
 from scorekit.models import load_model
@@ -196,6 +197,34 @@ class TestTrainPredictExplainReport:
         code = run("train", "--family", "perceptron",
                    "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir)
         assert code == 2
+
+    def test_train_unknown_feature_exit_2(self, pipeline_dir, capsys):
+        code = run("train", "--family", "logistic", "--features", "inf_01,nope",
+                   "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir)
+        assert code == 2
+        assert "UnknownColumn: nope" in capsys.readouterr().err
+
+    def test_train_parses_only_the_model_columns(self, pipeline_dir, monkeypatch):
+        parsed = []
+        load_csv = data_module.load_csv
+
+        def spy(*args, **kwargs):
+            parsed.append(kwargs.get("columns"))
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "load_csv", spy)
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", "tree", "--features", "inf_02,inf_01",
+                   "--config", cfg, "--out", pipeline_dir) == 0
+        assert parsed == [["inf_02", "inf_01"]] * 4
+        assert load_model(pipeline_dir / "model_tree.json").feature_names == ["inf_02", "inf_01"]
+        # without features.txt every schema column is a model column
+        (pipeline_dir / "features.txt").unlink()
+        schema = list(json.loads((pipeline_dir / "splits" / "splits.json").read_text())["schema"])
+        parsed.clear()
+        assert run("train", "--family", "logistic", "--config", cfg, "--out", pipeline_dir) == 0
+        assert parsed == [schema] * 4
+        assert load_model(pipeline_dir / "model_logistic.json").feature_names == schema
 
     def test_train_before_split_exit_2(self, tmp_path, capsys):
         code = run("train", "--family", "logistic", "--out", tmp_path / "empty")

@@ -1,11 +1,13 @@
 import csv
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorekit import data as data_module
 from scorekit.data import (
     CATEGORICAL,
     NUMERIC,
@@ -363,3 +365,58 @@ class TestPersistence:
         for name, part in splits.parts().items():
             assert np.array_equal(getattr(back, name).feature("x").values,
                                   part.feature("x").values)
+
+
+def reference_write(d, path, target="target", date_col="obs_date"):
+    """The cell-by-cell writer that write_csv must reproduce byte for byte."""
+    header = d.feature_names + [target] + ([date_col] if d.obs_date is not None else [])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(d.n_rows):
+            row = []
+            for f in d.features:
+                v = f.values[i]
+                if f.kind == NUMERIC:
+                    row.append("" if np.isnan(v) else repr(float(v)))
+                else:
+                    row.append("" if v is None else str(v))
+            row.append(str(int(d.target[i])))
+            if d.obs_date is not None:
+                row.append(str(d.obs_date[i]))
+            writer.writerow(row)
+
+
+NUMBERS = st.one_of(st.floats(), st.sampled_from(
+    [np.nan, -0.0, 0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, 5e-324, 0.1, 2.0**60]))
+LEVELS = st.one_of(st.none(), st.text(st.sampled_from('a,"\' \n;x'), max_size=5))
+
+
+@st.composite
+def writable_datasets(draw):
+    n = draw(st.integers(0, 30))
+    features = []
+    for j, kind in enumerate(draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), max_size=3))):
+        if kind == NUMERIC:
+            values = np.array(draw(st.lists(NUMBERS, min_size=n, max_size=n)), dtype=float)
+        else:
+            values = np.array(draw(st.lists(LEVELS, min_size=n, max_size=n)), dtype=object)
+        features.append(Feature("c%d" % j, kind, values))
+    target = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    dates = None
+    if draw(st.booleans()):
+        days = draw(st.lists(st.integers(-30000, 30000), min_size=n, max_size=n))
+        dates = np.array(days, dtype="datetime64[D]")
+    return Dataset(features, target, dates), draw(st.sampled_from([1, 3, 7, 1024]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=writable_datasets())
+def test_write_csv_matches_per_cell_writer(tmp_path_factory, case):
+    d, block = case
+    base = tmp_path_factory.getbasetemp()
+    reference_write(d, base / "expected.csv")
+    # small blocks put block boundaries inside the data
+    with mock.patch.object(data_module, "WRITE_ROWS", block):
+        write_csv(d, base / "written.csv")
+    assert (base / "written.csv").read_bytes() == (base / "expected.csv").read_bytes()

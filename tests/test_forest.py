@@ -74,3 +74,16 @@ class TestRandomForest:
         X, y = toy
         with pytest.raises(ScorekitError, match="integer n_trees >= 1, got %r" % n_trees):
             train_random_forest(X, y, n_trees=n_trees)
+
+    @pytest.mark.parametrize("label", [0.7, 2.0, -1.0, np.nan])
+    @pytest.mark.parametrize("train", [
+        lambda X, y: train_random_forest(X, y, n_trees=3, seed=0),
+        lambda X, y: train_tree(X, y, max_depth=3),
+    ], ids=["forest", "tree"])
+    def test_rejects_target_outside_01(self, toy, train, label):
+        # the split search counts labels; a fractional target would train silently
+        X, y = toy
+        y = y.copy()
+        y[5] = label
+        with pytest.raises(ScorekitError, match="0/1 target, got %r" % label):
+            train(X, y)

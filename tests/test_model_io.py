@@ -1,8 +1,12 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from scorekit.models import (
     load_model,
+    model_to_dict,
     save_model,
     train_gbm,
     train_logistic,
@@ -65,3 +69,22 @@ def test_artifact_carries_schema_version(tmp_path, fixture_data):
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 1
     assert doc["model_kind"] == "logistic"
+
+
+def test_saved_bytes_equal_one_json_dump(tmp_path, fixture_data):
+    # save_model encodes tree by tree; the bytes are those of one dump
+    X, y, names = fixture_data
+    models = all_models(X, y, names) + [
+        train_gbm(X, y, n_trees=0, feature_names=names),
+        train_xgb(X, y, n_trees=0, feature_names=names),
+        train_random_forest(X, y, n_trees=1, seed=3, feature_names=names),
+    ]
+    config = {"params": {"n": 3, "b": [0.5, None, "x"]}, "family": "any"}
+    for i, model in enumerate(models):
+        path = tmp_path / ("%d.json" % i)
+        save_model(model, path, train_config=config)
+        expected = io.StringIO()
+        json.dump(model_to_dict(model, train_config=config), expected, sort_keys=True,
+                  separators=(",", ":"))
+        expected.write("\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8"), model.model_kind
