@@ -17,9 +17,7 @@ import numpy as np
 
 from ..errors import ScorekitError
 from .base import Predictor, sigmoid
-from .tree import Tree, build_tree, compile_trees, predict_tree, tree_leaves
-
-LEAF_CLIP = 4.0  # cap for leaves whose hessian sum vanishes
+from .tree import LEAF_CLIP, Tree, TreeScorer, build_tree, predict_tree, tree_leaves
 
 
 def log_odds(rate: float) -> float:
@@ -48,18 +46,10 @@ class BoostedModel(Predictor):
         self.model_kind = variant
         self.train_loss_: list[float] = []
         self.feature_gain_: np.ndarray | None = None
-        # compiled once here and held in memory only; None when a tree has
-        # more than 64 leaves, and such a model walks its trees one by one
-        self.bit_trees = compile_trees(self.trees)
+        self.scorer = TreeScorer(self.trees)
 
     def decision_function(self, X) -> np.ndarray:
-        X = self._as_matrix(X)
-        if self.bit_trees is not None:
-            return self.bit_trees.score(X, self.initial_score, self.learning_rate)
-        score = np.full(X.shape[0], self.initial_score)
-        for tree in self.trees:
-            score += self.learning_rate * predict_tree(tree, X)
-        return score
+        return self.scorer.score(self._as_matrix(X), self.initial_score, self.learning_rate)
 
     def predict_proba(self, X) -> np.ndarray:
         return sigmoid(self.decision_function(X))
@@ -139,6 +129,8 @@ def train_xgb(X, y, n_trees=100, learning_rate=0.1, max_depth=3, lam=1.0,
     """
     if not isinstance(n_trees, numbers.Integral) or n_trees < 0:
         raise ScorekitError("xgb needs an integer n_trees >= 0, got %r" % (n_trees,))
+    if not isinstance(lam, numbers.Real) or not lam >= 0:  # NaN fails too
+        raise ScorekitError("xgb needs lam >= 0, got %r" % (lam,))
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 
@@ -9,14 +10,19 @@ import numpy as np
 
 from ..errors import ScorekitError
 from .base import Predictor
-from .tree import Tree, grow_trees, predict_tree
+from .tree import Tree, TreeScorer, grow_trees
 
 
 class ForestModel(Predictor):
-    """Probability = mean over trees of the leaf class-1 proportion.
+    """Probability = mean over trees of the leaf class-1 proportion: 0.0
+    plus each tree's leaf value in tree order, divided by the tree count.
 
-    Soft voting keeps scores graded enough for rank metrics; hard
-    majority voting is available behind the flag.
+    Soft voting keeps scores graded enough for rank metrics; hard majority
+    voting is available behind the flag, and maps each leaf value to its
+    0/1 vote before the trees are compiled. The forest is scored by its
+    `TreeScorer`, through the bit-vector form of its trees when that fits
+    the table budget, else by walking them; the compiled form lives only in
+    memory.
     """
 
     model_kind = "forest"
@@ -32,14 +38,12 @@ class ForestModel(Predictor):
         self.min_leaf = min_leaf
         self.bootstrap = bootstrap
         self.hard_vote = hard_vote
+        self.scorer = TreeScorer(
+            [dataclasses.replace(tree, value=(tree.value > 0.5).astype(float))
+             for tree in self.trees] if hard_vote else self.trees)
 
     def predict_proba(self, X) -> np.ndarray:
-        X = self._as_matrix(X)
-        votes = np.zeros(X.shape[0])
-        for tree in self.trees:
-            leaf = predict_tree(tree, X)
-            votes += (leaf > 0.5).astype(float) if self.hard_vote else leaf
-        return votes / len(self.trees)
+        return self.scorer.score(self._as_matrix(X), 0.0, 1.0) / len(self.trees)
 
 
 def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,

@@ -18,13 +18,22 @@ them.
 A tree is a `Tree` of parallel node arrays in preorder, left child first:
 the order of the v1 JSON node list, so `tree_to_flat` / `tree_from_flat`
 only convert between records and arrays. `tree_leaves` is the one walk
-over a tree; prediction reads the leaf values it finds. An ensemble of
-small trees can instead be compiled into `BitVectorTrees`, which routes
-every row as the walk does and scores all trees in one pass.
+over a tree; prediction reads the leaf values it finds.
+
+Every tree model (single tree, forest, boosted) scores through one
+`TreeScorer`: a base plus rate * leaf value, added tree by tree in model
+order. It uses the trees' `BitVectorTrees` form, compiled at the first
+score: the multi-word QuickScorer form, W = ceil(leaves / 64) 64-bit mask
+words a tree (one narrower word up to 64 leaves), with the trees cut into
+consecutive groups whose tables fit TABLE_BYTES. It routes every row as
+the walk does, to the same bits. A model whose tables would not fit at any
+group size is not compiled and walks its trees instead. Compiled forms
+live only in memory and never reach the model file.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -83,9 +92,17 @@ def split_gain_grad(g_left, h_left, g_right, h_right, lam, gamma):
     ) - gamma
 
 
+LEAF_CLIP = 4.0  # cap for leaves whose hessian sum vanishes
+
+
 def leaf_weight_grad(g_sum, h_sum, lam):
-    """Optimal leaf score -G/(H + lambda) for the second-order objective."""
-    return -g_sum / (h_sum + lam)
+    """Optimal leaf score -G/(H + lambda) for the second-order objective. A
+    zero H + lambda (lambda 0, hessians 0) would be an infinite step; the
+    leaf takes +/-LEAF_CLIP in the step's direction instead, or 0 at G = 0."""
+    den = h_sum + lam
+    if den == 0.0:
+        return 0.0 if g_sum == 0.0 else math.copysign(LEAF_CLIP, -g_sum)
+    return -g_sum / den
 
 
 def _leaf_value(objective, a, b, lam):
@@ -396,36 +413,61 @@ def predict_tree(tree: Tree, X) -> np.ndarray:
     return tree.value[tree_leaves(tree, X)]
 
 
-# (row x tree) cells of one BitVectorTrees scoring block. It bounds the mask
-# and leaf-number matrices of a block (one byte a cell for trees of up to 8
-# leaves); smaller blocks pay more numpy calls per row, since the sum over
-# trees is one call per tree and block
+# (row x mask byte) cells of one BitVectorTrees scoring block: the bytes of
+# its mask matrix, one a tree for trees of up to 8 leaves. It bounds the
+# block's working arrays, a few of the mask's size; smaller blocks pay more
+# numpy calls per row, since the sum over trees is one call per tree and
+# block, and larger ones run out of cache
 SCORE_CELLS = 1 << 18
+
+# bytes of the compiled tables (prefix-AND tables and row indices) of one
+# model. Groups of trees are made as large as this allows (one group needs
+# no row indices, and each group costs numpy calls per block); a model whose
+# tables exceed it at every group size is not compiled, and is scored by the
+# walk. It bounds the memory that compiling adds to a model
+TABLE_BYTES = 4 << 20
 
 MASK_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 @dataclass(eq=False)
 class BitVectorTrees:
-    """An ensemble of trees of at most 64 leaves in the QuickScorer bit-vector
-    form (Lucchese et al., SIGIR 2015; Dato et al., TOIS 2016).
+    """An ensemble of trees in the multi-word QuickScorer bit-vector form
+    (Lucchese et al., SIGIR 2015; vQS, Dato et al., TOIS 2016).
 
     A tree's leaves are numbered left to right, i.e. by preorder rank among
-    leaves, and bit i of the tree's mask stands for leaf i. A node whose test
-    fails clears the bits of its left subtree's leaves, and the exit leaf is
-    the lowest bit left set. features[f] is a feature some node splits on,
-    thresholds[f] the sorted thresholds of all its nodes in all trees, and
-    row k of tables[f], shape (len(thresholds[f]) + 1, n_trees), the AND per
-    tree of the clear masks of the k lowest of them. values is
-    (n_trees, mask bits), leaf values in leaf order, and dtype the unsigned
-    integer type of the masks.
+    leaves, and leaf i is bit i % 64 of word i // 64 of the tree's mask, of
+    `words` words. A node whose test fails clears the bits of its left
+    subtree's leaves, and the exit leaf is the lowest bit left set in the
+    first non-zero word. dtype is the unsigned type of a word: the narrowest
+    that holds the widest tree when it has at most 64 leaves, else 64 bits.
+
+    features[k] is a feature some node splits on and thresholds[k] the
+    sorted thresholds of all its nodes in all trees. The trees are cut into
+    consecutive groups of group_size (the last may be smaller), so that the
+    tables fit TABLE_BYTES. groups[g] holds, per feature its trees split on,
+    (k, index, table): row r of table, shape (nodes of the group on the
+    feature + 1, group trees * words), holds every tree's words ANDed over
+    the clear masks of the group's r lowest thresholds, word-major (column
+    w * group trees + t); index[i] is the number of the group's thresholds
+    among the i lowest of thresholds[k], None when the group holds every
+    tree (it is then i). values is (trees, widest tree's leaves), leaf
+    values in leaf order.
     """
 
     features: list[int]
     thresholds: list[np.ndarray]
-    tables: list[np.ndarray]
+    group_size: int
+    groups: list[list[tuple[int, np.ndarray | None, np.ndarray]]]
     values: np.ndarray
+    words: int
     dtype: type
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the tables and row indices, which TABLE_BYTES bounds."""
+        return sum(table.nbytes + (0 if index is None else index.nbytes)
+                   for group in self.groups for _, index, table in group)
 
     def score(self, X, base: float, rate: float) -> np.ndarray:
         """base + rate * v_0 + rate * v_1 + ... per row, added in tree order,
@@ -437,58 +479,182 @@ class BitVectorTrees:
         """
         X = np.asarray(X, dtype=float)
         scaled = rate * self.values  # the products the per-tree sum adds
-        step = max(1, SCORE_CELLS // max(1, len(scaled)))
+        word_bytes = self.words * np.dtype(self.dtype).itemsize
+        step = max(1, SCORE_CELLS // max(1, min(self.group_size, len(scaled)) * word_bytes))
+        ones = np.iinfo(self.dtype).max
         out = np.empty(X.shape[0])
         for start in range(0, X.shape[0], step):
             block = X[start:start + step]
-            mask = np.full((block.shape[0], len(scaled)), np.iinfo(self.dtype).max, self.dtype)
-            for j, thr, table in zip(self.features, self.thresholds, self.tables):
-                mask &= table.take(np.searchsorted(thr, block[:, j], side="left"), axis=0)
-            # the exit leaf's number is the count of zero bits below the lowest set one
-            leaf = np.ascontiguousarray(np.bitwise_count((mask & (~mask + 1)) - 1).T)
+            below = [np.searchsorted(thr, block[:, j], side="left")
+                     for j, thr in zip(self.features, self.thresholds)]
             acc = np.full(block.shape[0], base)
-            for values, rows in zip(scaled, leaf):
-                acc += values.take(rows)
+            for first, group in zip(range(0, len(scaled), self.group_size), self.groups):
+                values = scaled[first:first + self.group_size]
+                mask = np.full((block.shape[0], len(values) * self.words), ones, self.dtype)
+                for k, index, table in group:
+                    rows = below[k] if index is None else index.take(below[k])
+                    mask &= table.take(rows, axis=0)
+                for tree_values, leaf in zip(values, self._exit_leaves(mask)):
+                    acc += tree_values.take(leaf)
             out[start:start + step] = acc
         return out
 
+    def _exit_leaves(self, mask) -> np.ndarray:
+        """(trees, rows): the number of each row's exit leaf in each tree of
+        a group, from the group's (rows, words * trees) masks, which it
+        overwrites."""
+        # within a word, the count of zero bits below the lowest set one (all
+        # if none): the set bits of ~m & (m - 1), computed in place
+        low = mask - self.dtype(1)
+        low &= np.invert(mask, out=mask)
+        low = np.bitwise_count(low)
+        if self.words == 1:
+            return np.ascontiguousarray(low.T)
+        low = np.ascontiguousarray(low.T).reshape(self.words, -1, mask.shape[0])
+        # leaf 64w + low in word w, or past every leaf where word w is zero
+        # (low 64): the first non-zero word gives the least
+        low = low.astype(np.uint32)
+        low += (low >> 6) * (64 * self.words) \
+            + (np.arange(self.words, dtype=np.uint32) * 64)[:, None, None]
+        return np.minimum.reduce(low, axis=0)
+
+
+def _low_bits(n) -> np.ndarray:
+    """uint64 words with the n lowest bits set, 0 <= n <= 64."""
+    n = n.astype(np.uint64)
+    return np.where(n >= 64, ~np.uint64(0),
+                    (np.uint64(1) << np.minimum(n, np.uint64(63))) - np.uint64(1))
+
+
+def _group_size(node_tree, column, n_trees, word_bytes, index_bytes) -> int:
+    """The most consecutive trees a group whose tables take at most
+    TABLE_BYTES, or 0 when no group size fits; sizes are tried from all the
+    trees down, since the bytes need not shrink with the size.
+
+    node_tree gives each internal node's tree and column the position of its
+    feature among the features split on. A group's table on a feature has
+    one row per node of the group on it, plus one, of word_bytes per tree of
+    the group. With more than one group, each table also has an index of
+    index_bytes per node on the feature in all trees, plus one.
+    """
+    internal = np.bincount(node_tree, minlength=n_trees)
+    used = np.zeros((n_trees, column.max(initial=-1) + 1), dtype=bool)
+    used[node_tree, column] = True
+    index_rows = np.bincount(column, minlength=used.shape[1]) + 1
+    for size in range(n_trees, 0, -1):
+        starts = np.arange(0, n_trees, size)
+        used_by = np.logical_or.reduceat(used, starts, axis=0)
+        rows = np.add.reduceat(internal, starts) + used_by.sum(axis=1)
+        total = int((rows * np.diff(np.append(starts, n_trees))).sum()) * word_bytes
+        if len(starts) > 1:
+            total += int((used_by @ index_rows).sum()) * index_bytes
+        if total <= TABLE_BYTES:
+            return size
+    return 0
+
 
 def compile_trees(trees: list[Tree]) -> BitVectorTrees | None:
-    """The BitVectorTrees form of `trees`, or None when a tree has more than
-    64 leaves. The mask dtype is the narrowest that holds the widest tree."""
-    is_leaf = [tree.left < 0 for tree in trees]
-    width = max((int(leaf.sum()) for leaf in is_leaf), default=1)
-    dtype = next((d for d in MASK_DTYPES if width <= np.iinfo(d).bits), None)
-    if dtype is None:
-        return None
+    """The BitVectorTrees form of `trees`, or None when its tables would take
+    more than TABLE_BYTES at every group size (checked from the node counts,
+    before any table is built). The widest tree sets the words of every
+    tree. Nodes of all trees are handled as one array; the loops run per
+    feature and group, not per node."""
     if not trees:
-        return BitVectorTrees([], [], [], np.zeros((0, 1)), dtype)
+        return BitVectorTrees([], [], 1, [], np.zeros((0, 1)), 1, np.uint8)
+    sizes = np.array([len(tree.left) for tree in trees])
+    start = np.concatenate(([0], np.cumsum(sizes)))  # each tree's first node in the arrays below
+    left, right, feature, threshold, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("left", "right", "feature", "threshold", "value"))
+    tree_of = np.arange(len(trees)).repeat(sizes)
+    is_leaf = left < 0
+    before = np.concatenate(([0], np.cumsum(is_leaf)))  # leaves ahead of each node, all trees
+    width = int((before[start[1:]] - before[start[:-1]]).max())
+    words = -(-width // 64)
+    dtype = next(d for d in MASK_DTYPES if width <= np.iinfo(d).bits) if words == 1 else np.uint64
+
+    internal = np.flatnonzero(~is_leaf)
+    features, column, per_feature = np.unique(feature[internal], return_inverse=True,
+                                              return_counts=True)
+    index_dtype = np.min_scalar_type(per_feature.max(initial=0))
+    group_size = _group_size(tree_of[internal], column, len(trees),
+                             words * np.dtype(dtype).itemsize, index_dtype.itemsize)
+    if group_size == 0:
+        return None
+    # internal nodes by (feature, threshold), ties in node order
+    internal = internal[np.lexsort((threshold[internal], feature[internal]))]
+    node_tree = tree_of[internal]
+
+    leaf = np.flatnonzero(is_leaf)
     values = np.zeros((len(trees), width))
-    node_tree, node_feature, node_threshold, node_mask = [], [], [], []
-    for t, (tree, leaf) in enumerate(zip(trees, is_leaf)):
-        values[t, :leaf.sum()] = tree.value[leaf]
-        before = np.concatenate(([0], np.cumsum(leaf)))  # leaves ahead of each node
-        internal = np.flatnonzero(~leaf)
-        # a node's left subtree is nodes left..right-1 in preorder, so its
-        # leaves are bits before[left] .. before[right]-1
-        lo = before[tree.left[internal]].astype(np.uint64)
-        span = before[tree.right[internal]].astype(np.uint64) - lo
-        node_mask.append((~(((np.uint64(1) << span) - np.uint64(1)) << lo)).astype(dtype))
-        node_tree.append(np.full(len(internal), t))
-        node_feature.append(tree.feature[internal])
-        node_threshold.append(tree.threshold[internal])
-    node_tree, node_feature, node_threshold, node_mask = map(
-        np.concatenate, (node_tree, node_feature, node_threshold, node_mask))
-    features, thresholds, tables = [], [], []
-    for j in np.unique(node_feature).tolist():
-        sel = np.flatnonzero(node_feature == j)
-        sel = sel[np.argsort(node_threshold[sel], kind="stable")]
-        table = np.full((len(sel) + 1, len(trees)), np.iinfo(dtype).max, dtype=dtype)
-        table[np.arange(1, len(sel) + 1), node_tree[sel]] = node_mask[sel]
-        features.append(j)
-        thresholds.append(node_threshold[sel])
-        tables.append(np.bitwise_and.accumulate(table, axis=0))
-    return BitVectorTrees(features, thresholds, tables, values, dtype)
+    values[tree_of[leaf], before[leaf] - before[start[tree_of[leaf]]]] = value[leaf]
+
+    # a node's left subtree is nodes left..right-1 of its tree in preorder,
+    # so its leaves are bits before[left] .. before[right]-1, counted from
+    # the tree's first leaf; word w holds bits 64w .. 64w+63 of them
+    first = start[node_tree]
+    lo = before[first + left[internal]] - before[first]
+    hi = lo + before[first + right[internal]] - before[first + left[internal]]
+    node_mask = np.empty((len(internal), words), dtype=dtype)
+    for w in range(words):
+        clear = _low_bits(np.clip(hi - 64 * w, 0, 64)) ^ _low_bits(np.clip(lo - 64 * w, 0, 64))
+        node_mask[:, w] = ~clear
+    starts = np.concatenate(([0], np.cumsum(per_feature)))
+    thresholds = np.split(threshold[internal], starts[1:-1]) if len(internal) else []
+    # the tables need only the sorted nodes' trees and masks: free the arrays
+    # over every node first, so that they do not add to the tables' peak
+    del left, right, feature, threshold, value, tree_of, is_leaf, before, leaf, first, lo, hi
+
+    n_groups = -(-len(trees) // group_size)
+    node_group = node_tree // group_size
+    groups = [[] for _ in range(n_groups)]
+    ones = np.iinfo(dtype).max
+    for k in range(len(features)):
+        on = slice(starts[k], starts[k + 1])  # the feature's nodes, by threshold
+        found, slot = np.unique(node_group[on], return_inverse=True)
+        if n_groups > 1:  # row s: the nodes of group found[s] among each prefix of them
+            index = np.zeros((len(found), per_feature[k] + 1), dtype=index_dtype)
+            index[slot, np.arange(1, per_feature[k] + 1)] = 1
+            np.cumsum(index, axis=1, dtype=index_dtype, out=index)
+        by_group = np.argsort(slot, kind="stable") + starts[k]
+        for s, sel in enumerate(np.split(by_group, np.cumsum(np.bincount(slot))[:-1])):
+            g = int(found[s])
+            n_group = min(group_size, len(trees) - g * group_size)
+            table = np.full((len(sel) + 1, words * n_group), ones, dtype=dtype)
+            cols = np.arange(words) * n_group + (node_tree[sel] - g * group_size)[:, None]
+            table[np.arange(1, len(sel) + 1)[:, None], cols] = node_mask[sel]
+            np.bitwise_and.accumulate(table, axis=0, out=table)
+            groups[g].append((k, index[s] if n_groups > 1 else None, table))
+    return BitVectorTrees(features.tolist(), thresholds, group_size, groups, values, words,
+                          dtype)
+
+
+class TreeScorer:
+    """The one scorer of every tree model: base + rate * v_0 + rate * v_1 +
+    ... per row, added in tree order, where v_t is the leaf value trees[t]
+    routes the row to.
+
+    It scores through `bit_trees`, the compiled form of the trees, or walks
+    them one by one when that is None, to the same bits. The form is
+    compiled at the first score, not when the model is built, so that a
+    model file's parsed document is freed before the tables are made; it
+    lives in memory only.
+    """
+
+    def __init__(self, trees: list[Tree]):
+        self.trees = trees
+
+    @functools.cached_property
+    def bit_trees(self) -> BitVectorTrees | None:
+        return compile_trees(self.trees)
+
+    def score(self, X, base: float, rate: float) -> np.ndarray:
+        if self.bit_trees is not None:
+            return self.bit_trees.score(X, base, rate)
+        out = np.full(X.shape[0], base)
+        for tree in self.trees:
+            out += rate * predict_tree(tree, X)
+        return out
 
 
 def tree_to_flat(tree: Tree) -> list[dict]:
@@ -524,9 +690,11 @@ class DecisionTree(Predictor):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.objective = objective
+        self.scorer = TreeScorer([tree])
 
     def predict_proba(self, X) -> np.ndarray:
-        return predict_tree(self.tree, self._as_matrix(X))
+        # -0.0 + v is v for every v, -0.0 included: the leaf values themselves
+        return self.scorer.score(self._as_matrix(X), -0.0, 1.0)
 
 
 def train_tree(X, y, max_depth=None, min_leaf=1, feature_names=None) -> DecisionTree:

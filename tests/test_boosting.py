@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from scorekit.errors import ScorekitError
 from scorekit.models import tree as tree_module
 from scorekit.models import train_gbm, train_xgb
-from scorekit.models.boosting import BoostedModel, log_loss, log_odds
+from scorekit.models.boosting import LEAF_CLIP, BoostedModel, log_loss, log_odds
 from scorekit.models.tree import (
     build_tree,
     leaf_weight_grad,
@@ -89,6 +91,20 @@ class TestXgb:
         tree = build_tree(np.array([[0.0]]), np.array([2.0]), np.array([3.0]),
                           objective="grad", lam=1.0)
         assert tree.left[0] < 0 and tree.value[0] == -0.5
+
+    def test_zero_hessian_sum_with_zero_lambda_takes_the_clip(self):
+        # -G/(H + lam) with H + lam == 0 raised ZeroDivisionError
+        tree = build_tree(np.zeros((2, 1)), [1.0, 0.0], [0.0, 0.0], objective="grad", lam=0.0)
+        assert tree.left[0] < 0 and tree.value[0] == -LEAF_CLIP
+        assert leaf_weight_grad(-3.0, 0.0, 0.0) == LEAF_CLIP
+        assert leaf_weight_grad(0.0, 0.0, 0.0) == 0.0
+        assert leaf_weight_grad(1.0, 0.0, 1e-300) == -1.0 / 1e-300  # lam > 0 keeps the formula
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan"), "1"])
+    def test_impossible_lambda_rejected(self, separable, lam):
+        X, y = separable
+        with pytest.raises(ScorekitError, match=r"xgb needs lam >= 0, got %s" % re.escape(repr(lam))):
+            train_xgb(X, y, n_trees=1, lam=lam)
 
     def test_gain_formula_cross_check(self, rng):
         for _ in range(20):
@@ -219,10 +235,13 @@ def boosted_cases(draw):
 def test_decision_function_matches_per_tree_walk(case):
     model, X, cells = case
     widest = max((int((t.left < 0).sum()) for t in model.trees), default=1)
-    if widest > 64:
-        assert model.bit_trees is None  # the walk is the fallback
-    else:
-        bits = np.iinfo(model.bit_trees.dtype).bits
+    # trees this small fit the table budget in one group, so none walks;
+    # wider trees take more 64-bit words, at most 64 leaves the narrowest word
+    assert model.scorer.bit_trees is not None and model.scorer.bit_trees.nbytes <= tree_module.TABLE_BYTES
+    assert len(model.scorer.bit_trees.groups) == (1 if model.trees else 0)
+    assert model.scorer.bit_trees.words == -(-widest // 64)
+    if widest <= 64:
+        bits = np.iinfo(model.scorer.bit_trees.dtype).bits
         assert widest <= bits and (bits == 8 or widest > bits // 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "SCORE_CELLS", cells)  # blocks of a few rows
@@ -236,5 +255,5 @@ def test_zero_tree_and_trained_models_match_per_tree_walk(rng):
     for model in (train_gbm(X, y, n_trees=0), train_xgb(X, y, n_trees=0),
                   train_gbm(X, y, n_trees=15, subsample=0.8),
                   train_xgb(X, y, n_trees=15, max_depth=5, colsample=0.5)):
-        assert model.bit_trees is not None
+        assert model.scorer.bit_trees is not None
         assert model.decision_function(Q).tobytes() == reference_decision(model, Q).tobytes()

@@ -193,6 +193,14 @@ class TestTrainPredictExplainReport:
         else:
             assert "n_trees >= %d, got %r" % (family == "forest", n_trees) in err
 
+    def test_negative_lam_exit_2(self, pipeline_dir, capsys):
+        cfg = pipeline_dir / "config.yaml"
+        config = yaml.safe_load(cfg.read_text())
+        config["models"]["xgb"]["lam"] = -1.0
+        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert run("train", "--family", "xgb", "--config", cfg, "--out", pipeline_dir) == 2
+        assert "xgb needs lam >= 0, got -1.0" in capsys.readouterr().err
+
     def test_unknown_family_exit_2(self, pipeline_dir, capsys):
         code = run("train", "--family", "perceptron",
                    "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir)

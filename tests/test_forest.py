@@ -4,6 +4,7 @@ import pytest
 from scorekit.errors import ScorekitError
 from scorekit.metrics import gini
 from scorekit.models import train_random_forest, train_tree
+from scorekit.models import tree as tree_module
 
 
 @pytest.fixture
@@ -87,3 +88,30 @@ class TestRandomForest:
         y[5] = label
         with pytest.raises(ScorekitError, match="0/1 target, got %r" % label):
             train(X, y)
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["compiled", "walk"])
+@pytest.mark.parametrize("family", ["forest", "tree"])
+def test_predict_is_row_wise(rng, monkeypatch, family, budget):
+    # the explainers stack many rows into one call: a row's score must not
+    # depend on the rows beside it, nor on its position
+    X = rng.normal(size=(400, 4))
+    y = rng.integers(0, 2, 400).astype(float)
+    if budget is not None:
+        monkeypatch.setattr(tree_module, "TABLE_BYTES", budget)
+    model = (train_random_forest(X, y, n_trees=10, seed=1) if family == "forest"
+             else train_tree(X, y))
+    trees = model.trees if family == "forest" else [model.tree]
+    if budget is None:
+        assert model.scorer.bit_trees.words > 1  # trees of more than 64 leaves
+    else:
+        assert model.scorer.bit_trees is None
+    internal = trees[0].left >= 0
+    at_threshold = [trees[0].threshold[internal & (trees[0].feature == j)][:1] for j in range(4)]
+    Q = np.vstack([X[:50], [[np.nan, np.inf, -np.inf, 0.0]],
+                   [[t[0] if len(t) else 0.0 for t in at_threshold]]])
+    full = model.predict_proba(Q)
+    for i in range(len(Q)):
+        assert model.predict_proba(Q[i]).tobytes() == full[i:i + 1].tobytes()
+    perm = rng.permutation(len(Q))
+    assert model.predict_proba(Q[perm]).tobytes() == full[perm].tobytes()

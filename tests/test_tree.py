@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorekit.models import train_tree
+from scorekit.models import BoostedModel, DecisionTree, ForestModel, train_tree
+from scorekit.models import tree as tree_module
 from scorekit.models.tree import (
     Tree,
     build_tree,
@@ -208,3 +209,157 @@ def test_threshold_ties_go_left_and_nan_goes_right():
     Q = np.array([[thr], [np.nextafter(thr, np.inf)], [np.nan], [-np.inf], [np.inf]])
     assert tree_leaves(tree, Q).tolist() == [1, 2, 2, 1, 2]
     assert predict_tree(tree, Q).tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
+
+
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+LEAF_VALUES = [0.0, -0.0, 0.5, 1.0, 0.1, 0.7, 1e-9, -3.25e4, 123.456]
+
+
+def grid_tree(rng, n_leaves, n_features) -> Tree:
+    """A random tree of exactly n_leaves leaves, split on the coarse GRID so
+    that thresholds tie within and across trees. Leaf values mix 0/1, 0.5
+    (a hard vote's edge), -0.0 and magnitudes far apart, so that the order of
+    a sum over trees shows in the last bits."""
+    nodes = []
+    pending = [(n_leaves, None)]  # leaves to place, parent awaiting its right child
+    while pending:
+        k, parent = pending.pop()
+        if parent is not None:
+            parent["right"] = len(nodes)
+        value = rng.choice(LEAF_VALUES) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+        rec = {"value": float(value), "n": 0}
+        nodes.append(rec)
+        if k > 1:
+            left = int(rng.integers(1, k))
+            rec.update(feature=int(rng.integers(n_features)), threshold=float(rng.choice(GRID)),
+                       gain=0.0, left=len(nodes), right=-1)
+            pending += [(k - left, rec), (left, None)]
+    return tree_from_flat(nodes)
+
+
+def layout_bytes(trees, size) -> int:
+    """Bytes of the compiled tables of `trees` in groups of `size`, counted
+    group by group: per feature a group splits on, its nodes on it plus one
+    rows of the widest tree's words for each tree of the group and, with
+    more than one group, a row index of one entry per node on that feature
+    in all trees, plus one."""
+    width = max(int((t.left < 0).sum()) for t in trees)
+    word_bytes = 8 * -(-width // 64) if width > 64 else next(b for b in (1, 2, 4, 8)
+                                                             if width <= 8 * b)
+    on_feature = {}
+    for t in trees:
+        for f in t.feature[t.left >= 0].tolist():
+            on_feature[f] = on_feature.get(f, 0) + 1
+    index_bytes = np.min_scalar_type(max(on_feature.values(), default=0)).itemsize
+    total = 0
+    for first in range(0, len(trees), size):
+        group = trees[first:first + size]
+        on_group = {}
+        for t in group:
+            for f in t.feature[t.left >= 0].tolist():
+                on_group[f] = on_group.get(f, 0) + 1
+        for f, count in on_group.items():
+            total += (count + 1) * len(group) * word_bytes
+            if size < len(trees):
+                total += (on_feature[f] + 1) * index_bytes
+    return total
+
+
+def smallest_layout_bytes(trees) -> int:
+    return min(layout_bytes(trees, size) for size in range(1, len(trees) + 1))
+
+
+def reference_score(kind, trees, X):
+    """Every family's score from per-tree predict_tree walks, as each family
+    scored before the shared scorer: the forest's vote loop, the boosted
+    per-tree sum and the single tree's leaf values."""
+    if kind == "tree":
+        return predict_tree(trees[0], X)
+    if kind == "boosted":
+        score = np.full(X.shape[0], 0.25)
+        for tree in trees:
+            score += 0.3 * predict_tree(tree, X)
+        return 1.0 / (1.0 + np.exp(-np.clip(score, -45.0, 45.0)))
+    votes = np.zeros(X.shape[0])
+    for tree in trees:
+        leaf = predict_tree(tree, X)
+        votes += (leaf > 0.5).astype(float) if kind == "hard_vote" else leaf
+    return votes / len(trees)
+
+
+def make_model(kind, trees, p):
+    names = ["x%d" % j for j in range(p)]
+    if kind == "tree":
+        return DecisionTree(trees[0], names)
+    if kind == "boosted":
+        return BoostedModel(0.25, trees, 0.3, names)
+    return ForestModel(trees, names, n_trees=len(trees), mtry=1, seed=0,
+                       hard_vote=kind == "hard_vote")
+
+
+@st.composite
+def scored_models(draw):
+    kind = draw(st.sampled_from(["tree", "forest", "hard_vote", "boosted"]))
+    split_on = draw(st.integers(1, 3))
+    p = split_on + draw(st.integers(0, 2))  # trailing features no tree splits on
+    leaves = st.one_of(st.integers(1, 300),
+                       st.sampled_from([1, 2, 64, 65, 128, 129, 192, 193, 256, 257, 300]))
+    n_trees = 1 if kind == "tree" else draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
+    widths = [draw(leaves) for _ in range(n_trees)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    trees = [grid_tree(rng, k, split_on) for k in widths]
+    cells = np.array([np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID)
+    X = rng.choice(cells, size=(draw(st.integers(0, 40)), p))
+    # the budget around the smallest layout's bytes, or the default
+    factor = draw(st.sampled_from([0.9, 1.0, 2.5, 8.0, None]))
+    budget = (tree_module.TABLE_BYTES if factor is None
+              else int(factor * smallest_layout_bytes(trees)))
+    return kind, trees, p, X, budget, draw(st.sampled_from([1, 7, 64, tree_module.SCORE_CELLS]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=scored_models())
+def test_shared_scorer_matches_per_tree_walk(case):
+    kind, trees, p, X, budget, cells = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "TABLE_BYTES", budget)  # groups split, or the walk
+        mp.setattr(tree_module, "SCORE_CELLS", cells)  # blocks of a few rows
+        model = make_model(kind, trees, p)
+        compiled = model.scorer.bit_trees
+        # the walk stands in exactly when no group size fits the budget, and
+        # otherwise the groups are as large as fit
+        fits = [size for size in range(1, len(trees) + 1) if layout_bytes(trees, size) <= budget]
+        assert (compiled is None) == (not fits)
+        if compiled is not None:
+            assert compiled.group_size == max(fits)
+            assert compiled.nbytes == layout_bytes(trees, compiled.group_size)
+            assert compiled.words == -(-max(int((t.left < 0).sum()) for t in trees) // 64)
+            assert len(compiled.groups) == -(-len(trees) // compiled.group_size)
+        assert model.predict_proba(X).tobytes() == reference_score(kind, trees, X).tobytes()
+
+
+def test_over_budget_forest_walks_to_the_same_bytes():
+    # eight trees of 4,000 leaves need 63 words a tree: their tables take
+    # 16 MB at the least, past the default budget
+    rng = np.random.default_rng(7)
+    trees = [grid_tree(rng, 4000, 3) for _ in range(8)]
+    X = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID), size=(300, 3))
+    forest = make_model("forest", trees, 3)
+    assert smallest_layout_bytes(trees) > tree_module.TABLE_BYTES
+    assert forest.scorer.bit_trees is None
+    assert forest.predict_proba(X).tobytes() == reference_score("forest", trees, X).tobytes()
+    # under any budget the tables stay within it, or the model walks
+    sizes = set()
+    for budget in [2 ** k for k in range(16, 26)]:
+        scorer = tree_module.TreeScorer(trees)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_module, "TABLE_BYTES", budget)
+            compiled = scorer.bit_trees
+        if compiled is None:
+            assert smallest_layout_bytes(trees) > budget
+            continue
+        assert compiled.nbytes <= budget
+        sizes.add(compiled.group_size)
+        score = scorer.score(X, 0.0, 1.0) / len(trees)
+        assert score.tobytes() == reference_score("forest", trees, X).tobytes()
+    assert len(sizes) > 1  # groups of more than one size were scored
