@@ -229,8 +229,11 @@ def _split_frontier(XT, ranks, a, b, sample, pos, sizes, cols, objective, min_le
     hits = np.sort(i * k + j)
     i, j = np.divmod(hits[np.searchsorted(hits, starts[split] * k)], k)
     lo, hi = xs[j, i], xs[j, i + 1]
-    threshold = (lo + hi) / 2.0
-    threshold = np.where(threshold >= hi, lo, threshold)  # adjacent floats: keep the partition
+    with np.errstate(invalid="ignore"):
+        threshold = (lo + hi) / 2.0
+    # adjacent floats round up to hi, and -inf with inf gives NaN (a test no
+    # row passes): lo keeps the partition
+    threshold = np.where(threshold < hi, threshold, lo)
     return (split, cols[split, j], threshold, best[split], j, starts[split], i + 1,
             ends[split], sum_a[j, i], order)
 

@@ -57,7 +57,7 @@ def reference_split(Xn, a, b, objective, min_leaf, lam, gamma):
         return None
     lo, hi = xs[i, j], xs[i + 1, j]
     threshold = (lo + hi) / 2.0
-    return j, float(lo if threshold >= hi else threshold), best
+    return j, float(threshold if threshold < hi else lo), best
 
 
 def reference_tree(X, a, b=None, objective="gini", max_depth=None, min_leaf=1,

@@ -203,6 +203,17 @@ def test_predict_matches_reference_walk(case):
             assert getattr(clone, name).tobytes() == getattr(tree, name).tobytes(), name
 
 
+def test_split_between_infinities_keeps_its_partition():
+    # the midpoint of -inf and inf is NaN, which sent every row right
+    X = np.array([[-np.inf], [np.inf], [-np.inf], [np.inf]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    model = train_tree(X, y, max_depth=1)
+    assert model.tree.threshold[0] == -np.inf
+    Q = np.vstack([X, [[0.0], [np.nan]]])
+    assert predict_tree(model.tree, Q).tolist() == [0.0, 1.0, 0.0, 1.0, 1.0, 1.0]
+    assert model.predict_proba(Q).tobytes() == predict_tree(model.tree, Q).tobytes()
+
+
 def test_threshold_ties_go_left_and_nan_goes_right():
     tree = build_tree(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), max_depth=1)
     thr = tree.threshold[0]
