@@ -55,3 +55,7 @@ class BadParameter(ScorekitError, ValueError):
     """A config key the defaults do not have, a config value of the wrong
     shape, or a parameter outside its range. Also a ValueError, which is
     what such a parameter raised before it was a contract error."""
+
+
+class BadModel(ScorekitError):
+    """A model file that does not parse, or holds what `train` never writes."""

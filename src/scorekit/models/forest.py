@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 
@@ -16,39 +15,30 @@ from .tree import Tree, TreeScorer, grow_trees
 class ForestModel(Predictor):
     """Probability = mean over trees of the leaf class-1 proportion: 0.0
     plus each tree's leaf value in tree order, divided by the tree count.
+    Soft voting keeps scores graded enough for rank metrics.
 
-    Soft voting keeps scores graded enough for rank metrics; hard majority
-    voting is available behind the flag, and maps each leaf value to its
-    0/1 vote before the trees are compiled. The forest is scored by its
-    `TreeScorer`, through the bit-vector form of its trees when that fits
-    the table budget, else by walking them; the compiled form lives only in
-    memory.
+    The forest is scored by its `TreeScorer`, through the bit-vector form of
+    its trees when that fits the table budget, else by walking them; the
+    compiled form lives only in memory.
     """
 
     model_kind = "forest"
 
-    def __init__(self, trees, feature_names, n_trees, mtry, seed,
-                 max_depth=None, min_leaf=1, bootstrap=True, hard_vote=False):
+    def __init__(self, trees, feature_names, mtry, seed, max_depth=None, min_leaf=1):
         super().__init__(feature_names)
         self.trees: list[Tree] = list(trees)
-        self.n_trees = n_trees
         self.mtry = mtry
         self.seed = seed
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.bootstrap = bootstrap
-        self.hard_vote = hard_vote
-        self.scorer = TreeScorer(
-            [dataclasses.replace(tree, value=(tree.value > 0.5).astype(float))
-             for tree in self.trees] if hard_vote else self.trees)
+        self.scorer = TreeScorer(self.trees)
 
     def predict_proba(self, X) -> np.ndarray:
         return self.scorer.score(self._as_matrix(X), 0.0, 1.0) / len(self.trees)
 
 
 def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
-                        min_leaf=1, seed=0, bootstrap=True, hard_vote=False,
-                        feature_names=None, threads=1) -> ForestModel:
+                        min_leaf=1, seed=0, feature_names=None, threads=1) -> ForestModel:
     """Fit n_trees CART trees on independent bootstrap samples.
 
     mtry defaults to ceil(sqrt(p)). Each tree draws its bootstrap sample and
@@ -69,10 +59,9 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
 
     rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
     trees = grow_trees(X, y, None,
-                       [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs],
+                       [rng.integers(0, n, size=n) for rng in rngs],
                        rngs, objective="gini", max_depth=max_depth, min_leaf=min_leaf,
                        mtry=mtry, threads=threads)
 
-    return ForestModel(trees, feature_names, n_trees=n_trees, mtry=mtry,
-                       seed=seed, max_depth=max_depth, min_leaf=min_leaf,
-                       bootstrap=bootstrap, hard_vote=hard_vote)
+    return ForestModel(trees, feature_names, mtry=mtry, seed=seed,
+                       max_depth=max_depth, min_leaf=min_leaf)

@@ -15,10 +15,9 @@ a node's (boundary, column) gains takes it, which keeps trees
 deterministic regardless of thread count and of the trees grown beside
 them.
 
-A tree is a `Tree` of parallel node arrays in preorder, left child first:
-the order of the v1 JSON node list, so `tree_to_flat` / `tree_from_flat`
-only convert between records and arrays. `tree_leaves` is the one walk
-over a tree; prediction reads the leaf values it finds.
+A tree is a `Tree` of parallel node arrays in preorder, left child first;
+a model file holds each tree as exactly these arrays. `tree_leaves` is the
+one walk over a tree; prediction reads the leaf values it finds.
 
 Every tree model (single tree, forest, boosted) scores through one
 `TreeScorer`: a base plus rate * leaf value, added tree by tree in model
@@ -47,8 +46,8 @@ from .base import Predictor
 
 @dataclass(eq=False)
 class Tree:
-    """A binary tree as parallel arrays, one entry per node, in the order of
-    the v1 JSON node list: preorder, left child first, root at 0.
+    """A binary tree as parallel arrays, one entry per node, in preorder,
+    left child first, root at 0.
 
     Node k is a leaf when left[k] < 0. Internal nodes send a row to
     left[k] when x[feature[k]] <= threshold[k] and to right[k] otherwise;
@@ -63,12 +62,6 @@ class Tree:
     value: np.ndarray
     n: np.ndarray
     gain: np.ndarray
-
-
-# per array, the entry a node record may omit (its type is the array's
-# dtype); leaf records hold only value and n, and no record omits value
-LEAF_DEFAULTS = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
-                 "n": 0, "gain": 0.0}
 
 
 def _score_two_class(nL, nR, sL, sR):
@@ -660,39 +653,16 @@ class TreeScorer:
         return out
 
 
-def tree_to_flat(tree: Tree) -> list[dict]:
-    """The v1 JSON node list: one record per node, in the arrays' order."""
-    columns = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
-                  tree.right.tolist(), tree.value.tolist(), tree.n.tolist(),
-                  tree.gain.tolist())
-    return [
-        {"value": v, "n": n} if left < 0 else
-        {"value": v, "n": n, "feature": f, "threshold": t, "gain": g,
-         "left": left, "right": right}
-        for f, t, left, right, v, n, g in columns
-    ]
-
-
-def tree_from_flat(nodes: list[dict]) -> Tree:
-    """Arrays from v1 node records; left-out entries take LEAF_DEFAULTS."""
-    return Tree(value=np.array([rec["value"] for rec in nodes], dtype=float),
-                **{name: np.array([rec.get(name, default) for rec in nodes],
-                                  dtype=type(default))
-                   for name, default in LEAF_DEFAULTS.items()})
-
-
 class DecisionTree(Predictor):
     """A single classification tree scoring leaf class-1 proportions."""
 
     model_kind = "tree"
 
-    def __init__(self, tree: Tree, feature_names, max_depth=None, min_leaf=1,
-                 objective="gini"):
+    def __init__(self, tree: Tree, feature_names, max_depth=None, min_leaf=1):
         super().__init__(feature_names)
         self.tree = tree
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.objective = objective
         self.scorer = TreeScorer([tree])
 
     def predict_proba(self, X) -> np.ndarray:

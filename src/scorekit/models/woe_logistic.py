@@ -22,19 +22,20 @@ class WoeLogisticModel(Predictor):
         self.tables = tables
         self.logistic = logistic
 
+    def _score_columns(self, columns, n_rows: int) -> np.ndarray:
+        """Scores of rows given as one value column per feature name."""
+        woe = np.empty((n_rows, len(self.feature_names)))
+        for j, (name, values) in enumerate(zip(self.feature_names, columns)):
+            woe[:, j] = self.tables[name].transform(values)
+        return self.logistic.predict_proba(woe)
+
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        woe_cols = [
-            self.tables[name].transform(X[:, j])
-            for j, name in enumerate(self.feature_names)
-        ]
-        return self.logistic.predict_proba(np.column_stack(woe_cols))
+        X = self._as_matrix(X)
+        return self._score_columns(X.T, X.shape[0])
 
     def score_dataset(self, dataset) -> np.ndarray:
-        transformed = woe_transform(dataset.select(self.feature_names), self.tables)
-        return self.logistic.predict_proba(transformed.matrix(self.feature_names))
+        return self._score_columns([dataset.feature(name).values for name in self.feature_names],
+                                   dataset.n_rows)
 
 
 def train_woe_logistic(dataset, features=None, max_bins=10, min_bin_frac=0.05,

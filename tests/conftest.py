@@ -3,6 +3,10 @@ import pytest
 
 from scorekit.data import Dataset, Feature, NUMERIC
 from scorekit.models.base import Predictor
+from scorekit.models.tree import Tree
+
+# the entries a leaf's node record leaves out, and the dtype of their arrays
+LEAF_DEFAULTS = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "n": 0, "gain": 0.0}
 
 
 class ColumnModel(Predictor):
@@ -38,6 +42,14 @@ def numeric_dataset(columns: dict, target, obs_date=None) -> Dataset:
     features = [Feature(name, NUMERIC, np.asarray(vals, dtype=float))
                 for name, vals in columns.items()]
     return Dataset(features, np.asarray(target), obs_date)
+
+
+def tree_from_records(nodes) -> Tree:
+    """A Tree from node records in preorder: each {"value", "n"} and, for an
+    internal node, "feature", "threshold", "gain", "left" and "right"."""
+    return Tree(value=np.array([rec["value"] for rec in nodes], dtype=float),
+                **{name: np.array([rec.get(name, default) for rec in nodes], dtype=type(default))
+                   for name, default in LEAF_DEFAULTS.items()})
 
 
 @pytest.fixture

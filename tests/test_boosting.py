@@ -14,8 +14,9 @@ from scorekit.models.tree import (
     leaf_weight_grad,
     predict_tree,
     split_gain_grad,
-    tree_from_flat,
 )
+
+from conftest import tree_from_records
 
 
 @pytest.fixture
@@ -212,7 +213,7 @@ def random_tree(draw, n_leaves, n_features):
                        threshold=draw(st.sampled_from(GRID)), gain=0.0,
                        left=len(nodes), right=-1)
             pending += [(k - left, rec), (left, None)]
-    return tree_from_flat(nodes)
+    return tree_from_records(nodes)
 
 
 @st.composite

@@ -498,6 +498,57 @@ class TestPredictContract:
         assert "NoMissingBin: %s: 1500 missing values" % feature in capsys.readouterr().err
 
 
+def edited(edit):
+    """A text edit that parses the model document, applies edit(doc), and
+    writes it back."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+def set_root(name, value):
+    """An edit that sets the root's entry of tree 0's array `name` to value(doc)."""
+    return edited(lambda doc: doc["trees"][0][name].__setitem__(0, value(doc)))
+
+
+class TestBadModelFile:
+    @pytest.mark.parametrize("family, edit, message", [
+        ("tree", lambda text: text.replace(":", "=", 1), "Expecting ':' delimiter"),
+        ("tree", lambda text: text[:len(text) // 2], "line 1 column"),
+        ("tree", edited(lambda doc: doc.update(schema_version=1)),
+         "schema_version 1, but this scorekit reads only 2: retrain the model"),
+        ("tree", edited(lambda doc: doc.update(schema_version=99)),
+         "schema_version 99, but this scorekit reads only 2"),
+        ("tree", edited(lambda doc: doc.update(model_kind="perceptron")),
+         "unknown model_kind 'perceptron'"),
+        ("tree", edited(lambda doc: doc.pop("trees")), "missing key 'trees'"),
+        ("tree", edited(lambda doc: doc["trees"][0]["gain"].pop()),
+         "tree 0: node arrays of unequal length"),
+        ("tree", set_root("right", lambda doc: len(doc["trees"][0]["right"]) + 3),
+         "tree 0: left and right are not the children of a preorder tree"),
+        ("tree", set_root("feature", lambda doc: len(doc["feature_names"])),
+         "tree 0: a feature index outside the 5 feature names"),
+        ("tree", set_root("threshold", lambda doc: float("nan")), "tree 0: a NaN threshold"),
+        ("logistic", edited(lambda doc: doc["coefficients"].append(0.5)),
+         "6 coefficients for 5 feature names"),
+    ], ids=["not_json", "truncated", "schema_1", "schema_99", "unknown_kind", "missing_key",
+            "unequal_arrays", "child_past_end", "feature_index", "nan_threshold",
+            "coefficient_count"])
+    def test_damaged_model_exit_2(self, pipeline_dir, capsys, family, edit, message):
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", family, "--config", cfg, "--out", pipeline_dir) == 0
+        model = pipeline_dir / ("model_%s.json" % family)
+        model.write_text(edit(model.read_text()), encoding="utf-8")
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--data", pipeline_dir / "data.csv",
+                   "--config", cfg, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadModel: %s: " % model) and message in err
+        assert err.count("\n") == 1
+
+
 CANONICAL_SKIP = ("config.yaml", "manifest.json")  # documented volatile files
 
 
@@ -550,10 +601,11 @@ class TestDeterminism:
             assert artefact_maps[0] == artefact_maps[1], cmd
 
 
-# sha256 of the tree-family artifacts of the small pipeline: the models and
-# selection.json recorded before trees became preorder arrays, the boosted
-# scores and explanations before boosted models were scored as bit vectors;
-# every later engine must reproduce every byte
+# sha256 of the tree-family artifacts of the small pipeline, which every
+# later engine must reproduce byte for byte: selection.json and the models
+# since trees became preorder arrays, the models as the schema-1 files of
+# that time (`v1_model_bytes` of the saved model), and the boosted scores and
+# explanations since boosted models were scored as bit vectors
 PINNED_SHA256 = {
     1: {
         "model_tree.json":
@@ -636,6 +688,72 @@ PINNED_SHA256 = {
 }
 
 
+# sha256 of the same models as saved, in schema 2
+PINNED_V2_SHA256 = {
+    1: {
+        "model_tree.json":
+            "0ade4d2be93553def36316fa4c4e38f5548e4bebdbfc57e03b7f8ce9563b4d80",
+        "model_forest.json":
+            "11b19bd3296292bfc08c8b22094f4f0a2b16f66fafa638cd9358b3b22f57f067",
+        "model_gbm.json":
+            "c0518b9b99f6f452479b8bd813ce86ae243b436347e8a8decfb25d249795ab51",
+        "model_xgb.json":
+            "13419ff930c2804210ae324d619e23b3a4eff522e36f145fea372ceae0c341c4",
+    },
+    2: {
+        "model_tree.json":
+            "24a59e7841a340ce3a6647bf2a5c2a16f6a2242ccf3e4bdcbb0de3ba30bd4aad",
+        "model_forest.json":
+            "fa67423d26dc9ce8a5e889a57a0d75490da71baf94ee521b88dd0e76cfcba7eb",
+        "model_gbm.json":
+            "e934e31173ab508cfaaa7c2504801ee9c6fa6eec973bbf6813192bb84f17818f",
+        "model_xgb.json":
+            "ffaf81936a3914ad7feda8fb763d40cb0d05630acbff2b1cdf964115fea2318b",
+    },
+    3: {
+        "model_tree.json":
+            "dfaf835df76565414457e20bf6f90cc947daa8bfe2cd4265c52395cd6cc6e50e",
+        "model_forest.json":
+            "a68eb886a1be41936cb7e5c0f917d85047aaaa860e97ea6a07bffda6aa2e2b21",
+        "model_gbm.json":
+            "eb72b9816f3071ad75e1ab9ca3e36ec8a3588730421111a755a66f02f4d85ff2",
+        "model_xgb.json":
+            "ee202ebe90f4fa4b119a46c6744aff52dc84745c786a0dcead878400184830f9",
+    },
+}
+
+
+def v1_model_bytes(path: Path) -> bytes:
+    """The schema-1 file of the tree model saved at `path`: each tree a list
+    of node records in preorder, a leaf's holding only value and n, the
+    single tree's under "nodes". A tree also stored its objective and a
+    forest n_trees, bootstrap and hard_vote, which took one value in every
+    file."""
+    model = load_model(path)
+    trees = [[{"value": v, "n": n} if left < 0 else
+              {"value": v, "n": n, "feature": f, "threshold": t, "gain": g,
+               "left": left, "right": right}
+              for f, t, left, right, v, n, g in zip(*(
+                  getattr(tree, name).tolist() for name in
+                  ("feature", "threshold", "left", "right", "value", "n", "gain")))]
+             for tree in (model.trees if hasattr(model, "trees") else [model.tree])]
+    doc = {"schema_version": 1, "model_kind": model.model_kind,
+           "feature_names": model.feature_names,
+           "train_config": json.loads(path.read_text())["train_config"]}
+    if model.model_kind == "tree":
+        doc.update(nodes=trees[0], max_depth=model.max_depth, min_leaf=model.min_leaf,
+                   objective="gini")
+    elif model.model_kind == "forest":
+        doc.update(trees=trees, n_trees=len(trees), mtry=model.mtry, seed=model.seed,
+                   max_depth=model.max_depth, min_leaf=model.min_leaf, bootstrap=True,
+                   hard_vote=False)
+    else:
+        doc.update(trees=trees, initial_score=model.initial_score,
+                   learning_rate=model.learning_rate, variant=model.variant, lam=model.lam,
+                   gamma=model.gamma, params=model.params)
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tree_family_artifacts_pinned(tmp_path, small_config, seed):
     out = tmp_path / "run"
@@ -657,6 +775,10 @@ def test_tree_family_artifacts_pinned(tmp_path, small_config, seed):
                    "--config", cfg, "--out", out) == 0
     assert run("explain", "--what", "pdp", "--feature", "inf_01", "--model", *boosted,
                "--config", cfg, "--out", out) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    digests = {name: hashlib.sha256(v1_model_bytes(out / name) if name.startswith("model_")
+                                    else (out / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256[seed]}
     assert digests == PINNED_SHA256[seed]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_V2_SHA256[seed]}
+    assert digests == PINNED_V2_SHA256[seed]

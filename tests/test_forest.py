@@ -17,13 +17,6 @@ def toy(rng):
 
 
 class TestRandomForest:
-    def test_single_tree_no_sampling_equals_cart(self, toy):
-        X, y = toy
-        forest = train_random_forest(X, y, n_trees=1, mtry=X.shape[1],
-                                     bootstrap=False, max_depth=None, min_leaf=1, seed=0)
-        tree = train_tree(X, y, max_depth=None, min_leaf=1)
-        assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
-
     def test_same_seed_identical_forest(self, toy):
         X, y = toy
         a = train_random_forest(X, y, n_trees=12, seed=42)
@@ -57,13 +50,6 @@ class TestRandomForest:
         forest = train_random_forest(X, y, n_trees=10, seed=0)
         probs = forest.predict_proba(X)
         assert (probs >= 0).all() and (probs <= 1).all()
-
-    def test_hard_vote_quantized(self, toy):
-        X, y = toy
-        forest = train_random_forest(X, y, n_trees=10, seed=0, hard_vote=True)
-        probs = forest.predict_proba(X)
-        assert set(np.round(probs * 10).astype(int)) <= set(range(11))
-        assert np.allclose(probs * 10, np.round(probs * 10))
 
     def test_default_mtry_is_sqrt(self, toy):
         X, y = toy

@@ -14,8 +14,9 @@ from scorekit.models.tree import (
     build_tree,
     leaf_weight_grad,
     split_gain_grad,
-    tree_from_flat,
 )
+
+from conftest import tree_from_records
 
 TREE_ARRAYS = [f.name for f in dataclasses.fields(Tree)]
 
@@ -93,7 +94,7 @@ def reference_tree(X, a, b=None, objective="gini", max_depth=None, min_leaf=1,
         mask = X[idx, node["feature"]] <= threshold
         stack.append((idx[~mask], depth + 1, node))
         stack.append((idx[mask], depth + 1, None))
-    return tree_from_flat(nodes)
+    return tree_from_records(nodes)
 
 
 def assert_same_tree(tree, expected):
@@ -119,7 +120,6 @@ def forest_cases(draw):
         mtry=draw(st.integers(1, p)),
         max_depth=draw(st.one_of(st.none(), st.integers(0, 5))),
         min_leaf=draw(st.integers(1, 4)),
-        bootstrap=draw(st.booleans()),
         seed=draw(st.integers(0, 50)),
     )
     return X, y, params, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 7, 64, None]))
@@ -140,7 +140,7 @@ def test_forest_equals_trees_grown_one_at_a_time(case):
     n = len(y)
     for t, tree in enumerate(forest.trees):
         rng = np.random.default_rng((params["seed"], t))
-        rows = rng.integers(0, n, size=n) if params["bootstrap"] else np.arange(n)
+        rows = rng.integers(0, n, size=n)
         expected = reference_tree(X[rows], y[rows], max_depth=params["max_depth"],
                                   min_leaf=params["min_leaf"], mtry=params["mtry"], rng=rng)
         assert_same_tree(tree, expected)

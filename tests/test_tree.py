@@ -1,6 +1,3 @@
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +9,10 @@ from scorekit.models.tree import (
     Tree,
     build_tree,
     predict_tree,
-    tree_from_flat,
     tree_leaves,
-    tree_to_flat,
 )
 
-TREE_ARRAYS = [f.name for f in dataclasses.fields(Tree)]
+from conftest import tree_from_records
 
 
 def gini_impurity(y):
@@ -129,16 +124,6 @@ class TestTrainTree:
         b = train_tree(X, y, max_depth=5)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
-    def test_flat_round_trip(self, rng):
-        X = rng.normal(size=(120, 3))
-        y = rng.integers(0, 2, 120).astype(float)
-        y[:2] = [0, 1]
-        tree = build_tree(X, y, objective="gini")
-        clone = tree_from_flat(tree_to_flat(tree))
-        assert np.array_equal(predict_tree(tree, X), predict_tree(clone, X))
-        for name in TREE_ARRAYS:
-            assert getattr(clone, name).tobytes() == getattr(tree, name).tobytes(), name
-
     def test_duplicate_feature_values_never_split_apart(self):
         # rows with identical feature values must land in the same leaf
         X = np.array([[1.0], [1.0], [1.0], [2.0], [2.0]])
@@ -149,12 +134,11 @@ class TestTrainTree:
         assert preds[3] == preds[4]
 
 
-def reference_leaf(nodes, x):
-    """Walk the v1 node records for one row: <= goes left, NaN goes right."""
+def reference_leaf(tree, x):
+    """Walk the tree's arrays for one row: <= goes left, NaN goes right."""
     k = 0
-    while "feature" in nodes[k]:
-        rec = nodes[k]
-        k = rec["left"] if x[rec["feature"]] <= rec["threshold"] else rec["right"]
+    while tree.left[k] >= 0:
+        k = tree.left[k] if x[tree.feature[k]] <= tree.threshold[k] else tree.right[k]
     return k
 
 
@@ -192,15 +176,10 @@ def test_predict_matches_reference_walk(case):
     leaves = np.flatnonzero(tree.left < 0)
     counts = np.bincount(tree_leaves(tree, X), minlength=len(tree.n))
     assert counts[leaves].tolist() == tree.n[leaves].tolist()
-    nodes = tree_to_flat(tree)
-    expected = np.array([reference_leaf(nodes, row) for row in Q], dtype=np.int64)
+    expected = np.array([reference_leaf(tree, row) for row in Q], dtype=np.int64)
     assert tree_leaves(tree, Q).tobytes() == expected.tobytes()
-    values = np.array([nodes[k]["value"] for k in expected], dtype=float)
+    values = np.array([tree.value[k] for k in expected], dtype=float)
     assert predict_tree(tree, Q).tobytes() == values.tobytes()
-    for clone in (tree_from_flat(nodes), tree_from_flat(json.loads(json.dumps(nodes)))):
-        for name in TREE_ARRAYS:
-            assert getattr(clone, name).dtype == getattr(tree, name).dtype, name
-            assert getattr(clone, name).tobytes() == getattr(tree, name).tobytes(), name
 
 
 def test_split_between_infinities_keeps_its_partition():
@@ -228,9 +207,9 @@ LEAF_VALUES = [0.0, -0.0, 0.5, 1.0, 0.1, 0.7, 1e-9, -3.25e4, 123.456]
 
 def grid_tree(rng, n_leaves, n_features) -> Tree:
     """A random tree of exactly n_leaves leaves, split on the coarse GRID so
-    that thresholds tie within and across trees. Leaf values mix 0/1, 0.5
-    (a hard vote's edge), -0.0 and magnitudes far apart, so that the order of
-    a sum over trees shows in the last bits."""
+    that thresholds tie within and across trees. Leaf values mix 0/1, 0.5,
+    -0.0 and magnitudes far apart, so that the order of a sum over trees
+    shows in the last bits."""
     nodes = []
     pending = [(n_leaves, None)]  # leaves to place, parent awaiting its right child
     while pending:
@@ -245,7 +224,7 @@ def grid_tree(rng, n_leaves, n_features) -> Tree:
             rec.update(feature=int(rng.integers(n_features)), threshold=float(rng.choice(GRID)),
                        gain=0.0, left=len(nodes), right=-1)
             pending += [(k - left, rec), (left, None)]
-    return tree_from_flat(nodes)
+    return tree_from_records(nodes)
 
 
 def layout_bytes(trees, size) -> int:
@@ -293,8 +272,7 @@ def reference_score(kind, trees, X):
         return 1.0 / (1.0 + np.exp(-np.clip(score, -45.0, 45.0)))
     votes = np.zeros(X.shape[0])
     for tree in trees:
-        leaf = predict_tree(tree, X)
-        votes += (leaf > 0.5).astype(float) if kind == "hard_vote" else leaf
+        votes += predict_tree(tree, X)
     return votes / len(trees)
 
 
@@ -304,13 +282,12 @@ def make_model(kind, trees, p):
         return DecisionTree(trees[0], names)
     if kind == "boosted":
         return BoostedModel(0.25, trees, 0.3, names)
-    return ForestModel(trees, names, n_trees=len(trees), mtry=1, seed=0,
-                       hard_vote=kind == "hard_vote")
+    return ForestModel(trees, names, mtry=1, seed=0)
 
 
 @st.composite
 def scored_models(draw):
-    kind = draw(st.sampled_from(["tree", "forest", "hard_vote", "boosted"]))
+    kind = draw(st.sampled_from(["tree", "forest", "boosted"]))
     split_on = draw(st.integers(1, 3))
     p = split_on + draw(st.integers(0, 2))  # trailing features no tree splits on
     leaves = st.one_of(st.integers(1, 300),

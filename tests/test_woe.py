@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scorekit.data import CATEGORICAL, NUMERIC, Feature
+from scorekit.data import CATEGORICAL, NUMERIC, Dataset, Feature
+from scorekit.models import train_woe_logistic
 from scorekit.woe import (
     BinningSpec,
     compute_woe,
@@ -204,3 +205,14 @@ def test_tables_json_round_trip(tmp_path, rng):
         assert np.array_equal(back[name].transform(d.feature(name).values),
                               tables[name].transform(d.feature(name).values))
         assert back[name].iv == tables[name].iv
+
+
+def test_woe_model_scores_categorical_columns_through_their_tables(rng):
+    # the reference is the transform-then-matrix path the model used to take
+    levels = np.array(["A", "B", "C", None], dtype=object)
+    data = Dataset([Feature("c", CATEGORICAL, levels[rng.integers(0, 4, 200)]),
+                    feat(rng.normal(size=200))], rng.integers(0, 2, 200))
+    model = train_woe_logistic(data, ["x", "c"], max_bins=4)
+    expected = model.logistic.predict_proba(
+        woe_transform(data, model.tables).matrix(["x", "c"]))
+    assert model.score_dataset(data).tobytes() == expected.tobytes()
