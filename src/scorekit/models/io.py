@@ -28,8 +28,7 @@ def _logistic_block(model: LogisticModel) -> dict:
 
 
 def _document(model, train_config: dict | None) -> dict:
-    """The model document, its "trees" left as `Tree`s: the file holds each
-    tree as one object of its seven arrays."""
+    """The model document, its "trees" left as `Tree`s."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "model_kind": model.model_kind,
@@ -68,14 +67,12 @@ def model_to_dict(model, train_config: dict | None = None) -> dict:
 
 
 def _tree(arrays: dict, n_features: int, i: int) -> Tree:
-    """Tree i of a document, or BadModel if `grow_trees` could not have
-    grown it."""
+    """Tree i of a document; BadModel if `grow_trees` could not have grown it."""
     tree = Tree(**{name: np.array(arrays[name], dtype=code) for name, code in NODE_ARRAYS})
     n = len(tree.left)
     if n == 0 or any(getattr(tree, name).shape != (n,) for name, _ in NODE_ARRAYS):
         raise BadModel("tree %d: node arrays of unequal length or no nodes" % i)
-    # preorder, left child first: end[k] is one past the last node of k's
-    # subtree, and a node that breaks the order leaves end[0] at 0
+    # end[k]: one past k's subtree in preorder; a node out of order leaves end[0] 0
     left, right, end = tree.left.tolist(), tree.right.tolist(), [0] * n
     for k in range(n - 1, -1, -1):
         if left[k] == right[k] == -1:
@@ -103,9 +100,8 @@ def _logistic(block: dict, names) -> LogisticModel:
 
 
 def model_from_dict(doc: dict):
-    """The model of a schema-2 document; BadModel for one that `train` does
-    not write. A missing key or malformed value raises KeyError, TypeError or
-    ValueError, which `load_model` reports as BadModel."""
+    """The model of a schema-2 document; BadModel for one `train` does not
+    write (KeyError, TypeError or ValueError for a missing or malformed key)."""
     if doc["schema_version"] != SCHEMA_VERSION:
         raise BadModel("schema_version %r, but this scorekit reads only %d: retrain the model"
                        % (doc["schema_version"], SCHEMA_VERSION))

@@ -19,19 +19,22 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+SMALL_CONFIG = {
+    "synth": {"n_rows": 1500},
+    "selection": {"top_k": 10, "xgb": {"n_trees": 20}},
+    "models": {
+        "forest": {"n_trees": 8, "min_leaf": 1, "max_depth": None},
+        "gbm": {"n_trees": 10, "max_depth": 2, "min_leaf": 10, "subsample": 0.9},
+        "xgb": {"n_trees": 10, "max_depth": 2},
+    },
+    "explain": {"n_repeats": 2, "grid_points": 7, "background_rows": 80},
+}
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump({
-        "synth": {"n_rows": 1500},
-        "selection": {"top_k": 10, "xgb": {"n_trees": 20}},
-        "models": {
-            "forest": {"n_trees": 8, "min_leaf": 1, "max_depth": None},
-            "gbm": {"n_trees": 10, "max_depth": 2, "min_leaf": 10, "subsample": 0.9},
-            "xgb": {"n_trees": 10, "max_depth": 2},
-        },
-        "explain": {"n_repeats": 2, "grid_points": 7, "background_rows": 80},
-    }), encoding="utf-8")
+    path.write_text(yaml.safe_dump(SMALL_CONFIG), encoding="utf-8")
     return path
 
 
@@ -514,6 +517,18 @@ def set_root(name, value):
 
 
 class TestBadModelFile:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """The small pipeline with a tree and a logistic model, built once."""
+        root = tmp_path_factory.mktemp("trained")
+        (root / "config.yaml").write_text(yaml.safe_dump(SMALL_CONFIG), encoding="utf-8")
+        out = root / "run"
+        assert run("synth", "--config", root / "config.yaml", "--out", out, "--seed", 3) == 0
+        for argv in (["split"], ["select"], ["train", "--family", "tree"],
+                     ["train", "--family", "logistic"]):
+            assert run(*argv, "--config", out / "config.yaml", "--out", out) == 0
+        return out
+
     @pytest.mark.parametrize("family, edit, message", [
         ("tree", lambda text: text.replace(":", "=", 1), "Expecting ':' delimiter"),
         ("tree", lambda text: text[:len(text) // 2], "line 1 column"),
@@ -536,14 +551,13 @@ class TestBadModelFile:
     ], ids=["not_json", "truncated", "schema_1", "schema_99", "unknown_kind", "missing_key",
             "unequal_arrays", "child_past_end", "feature_index", "nan_threshold",
             "coefficient_count"])
-    def test_damaged_model_exit_2(self, pipeline_dir, capsys, family, edit, message):
-        cfg = pipeline_dir / "config.yaml"
-        assert run("train", "--family", family, "--config", cfg, "--out", pipeline_dir) == 0
-        model = pipeline_dir / ("model_%s.json" % family)
-        model.write_text(edit(model.read_text()), encoding="utf-8")
+    def test_damaged_model_exit_2(self, trained, tmp_path, capsys, family, edit, message):
+        model = tmp_path / "model.json"
+        model.write_text(edit((trained / ("model_%s.json" % family)).read_text()),
+                         encoding="utf-8")
         capsys.readouterr()
-        assert run("predict", "--model", model, "--data", pipeline_dir / "data.csv",
-                   "--config", cfg, "--out", pipeline_dir) == 2
+        assert run("predict", "--model", model, "--data", trained / "data.csv",
+                   "--config", trained / "config.yaml", "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: BadModel: %s: " % model) and message in err
         assert err.count("\n") == 1

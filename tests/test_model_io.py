@@ -18,7 +18,6 @@ from scorekit.models import (
     train_woe_logistic,
     train_xgb,
 )
-
 from scorekit.models.tree import Tree
 
 from conftest import numeric_dataset

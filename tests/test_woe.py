@@ -208,7 +208,7 @@ def test_tables_json_round_trip(tmp_path, rng):
 
 
 def test_woe_model_scores_categorical_columns_through_their_tables(rng):
-    # the reference is the transform-then-matrix path the model used to take
+    # the reference: the WOE-transformed dataset's matrix, scored by the logistic part
     levels = np.array(["A", "B", "C", None], dtype=object)
     data = Dataset([Feature("c", CATEGORICAL, levels[rng.integers(0, 4, 200)]),
                     feat(rng.normal(size=200))], rng.integers(0, 2, 200))
