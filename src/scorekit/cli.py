@@ -365,12 +365,13 @@ def _load_splits_checked(out_dir):
     return load_splits(_split_dir_checked(out_dir))
 
 
-def _load_part(out_dir, part_name: str) -> Dataset:
+def _load_part(out_dir, part_name: str, columns) -> Dataset:
+    """Split part `part_name`, parsing of its schema columns only `columns`."""
     split_dir = _split_dir_checked(out_dir)
     manifest = read_split_manifest(split_dir)
     if part_name not in manifest["files"]:
         raise ScorekitError("unknown split part %r" % part_name)
-    return load_split_part(split_dir, manifest, part_name)
+    return load_split_part(split_dir, manifest, part_name, columns=columns)
 
 
 def cmd_explain(args, config) -> int:
@@ -385,7 +386,8 @@ def cmd_explain(args, config) -> int:
         raise ScorekitError("%s needs --feature" % what)
     models_loaded = [(Path(p).stem.replace("model_", ""), load_model(p)) for p in model_paths]
     name, model = models_loaded[0]
-    part = _load_part(out_dir, args.part)
+    part = _load_part(out_dir, args.part,
+                      {feature for _, each in models_loaded for feature in each.feature_names})
     if what in ("cp", "bd"):
         if args.instance is None:
             raise ScorekitError("%s needs --instance" % what)

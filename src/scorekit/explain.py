@@ -12,10 +12,13 @@ paribus values of all background rows at that point; both run through the
 same substitution code so the identity holds to float roundoff.
 
 The substitutions of one explainer step (every permutation of one feature,
-every grid point of a profile, every candidate of a break-down step) are
-stacked into one `predict_proba` call. That relies on the row-wise contract
-of `Predictor.predict_proba`: a row's score does not depend on the other
-rows in the call, so for a model that keeps it stacking changes no value.
+every grid point of a profile, every candidate of a break-down step) go to
+the model in one `Predictor.predict_variants` call. By default that stacks
+the substituted copies into one `predict_proba` call, which relies on its
+row-wise contract: a row's score does not depend on the other rows in the
+call, so for a model that keeps it stacking changes no value. Tree models
+score the substitutions on their compiled trees instead, matching the
+columns a step leaves alone once per row, to the same bytes.
 """
 
 from __future__ import annotations
@@ -47,33 +50,6 @@ def _grid_from_spec(values: np.ndarray, grid_spec) -> np.ndarray:
 
 
 DEFAULT_GRID_POINTS = 21  # every 5th percentile
-
-# Largest number of cells (rows x columns) stacked into one predict_proba
-# call. Bounds the stacked matrix of a step; a larger step is split across
-# several calls.
-PREDICT_CELLS = 1 << 15
-
-
-def _predict_variants(model, X, variants) -> np.ndarray:
-    """Predictions of X under each of a list of column substitutions.
-
-    Variant k is a (columns, values) pair: a copy of X with
-    `copy[:, columns] = values`. Returns (len(variants), n_rows); row k
-    holds the predictions for variant k. Variants are tiled into stacked
-    matrices of at most PREDICT_CELLS cells, one predict_proba call each.
-    """
-    n, p = X.shape
-    per_call = max(1, PREDICT_CELLS // max(1, n * p))
-    out = np.empty((len(variants), n))
-    for start in range(0, len(variants), per_call):
-        chunk = variants[start:start + per_call]
-        stacked = np.empty((len(chunk), n, p))
-        stacked[:] = X
-        for block, (columns, values) in zip(stacked, chunk):
-            block[:, columns] = values
-        out[start:start + len(chunk)] = \
-            model.predict_proba(stacked.reshape(-1, p)).reshape(len(chunk), n)
-    return out
 
 
 def _feature_index(model, feature: str) -> int:
@@ -141,7 +117,7 @@ def permutation_importance(model, X, y, n_repeats: int = 10, seed: int = 0,
             (j, X[np.random.default_rng((seed, j, r)).permutation(X.shape[0]), j])
             for r in range(n_repeats)
         ]
-        for r, preds in enumerate(_predict_variants(model, X, shuffled)):
+        for r, preds in enumerate(model.predict_variants(X, shuffled)):
             drops[i, r] = baseline - auc(preds, y)
     return PfiResult(baseline_auc=baseline, features=names, drops=drops,
                      n_repeats=n_repeats, seed=seed)
@@ -174,7 +150,7 @@ def _profile_matrix(model, X, j: int, grid: np.ndarray) -> np.ndarray:
     feature j forced to grid[g]. Callers reduce it with `.mean(axis=0)`,
     whose summation order depends on this layout, so the layout is kept.
     """
-    preds = _predict_variants(model, X, [(j, z) for z in grid])
+    preds = model.predict_variants(X, [(j, z) for z in grid])
     return np.ascontiguousarray(preds.T)
 
 
@@ -341,8 +317,7 @@ def break_down(model, background, instance, ordering="greedy") -> BreakDownResul
     def values_of(subsets: list[list[int]]) -> list[float]:
         """v(S) for every S, in one stacked step; v(all features) is final."""
         partial = [S for S in subsets if len(S) < p]
-        preds = _predict_variants(model, background,
-                                  [(S, instance[S]) for S in partial])
+        preds = model.predict_variants(background, [(S, instance[S]) for S in partial])
         means = iter([float(np.mean(row)) for row in preds])
         return [final if len(S) == p else next(means) for S in subsets]
 

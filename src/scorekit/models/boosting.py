@@ -16,8 +16,8 @@ import numbers
 import numpy as np
 
 from ..errors import ScorekitError
-from .base import Predictor, sigmoid
-from .tree import LEAF_CLIP, Tree, TreeScorer, build_tree, predict_tree, tree_leaves
+from .base import sigmoid
+from .tree import LEAF_CLIP, TreeModel, build_tree, predict_tree, tree_leaves
 
 
 def log_odds(rate: float) -> float:
@@ -30,14 +30,13 @@ def log_loss(y, prob) -> float:
     return float(-np.mean(y * np.log(prob) + (1.0 - y) * np.log(1.0 - prob)))
 
 
-class BoostedModel(Predictor):
+class BoostedModel(TreeModel):
     model_kind = "gbm"
 
     def __init__(self, initial_score, trees, learning_rate, feature_names,
                  variant="gbm", lam=0.0, gamma=0.0, params=None):
-        super().__init__(feature_names)
+        super().__init__(trees, feature_names)
         self.initial_score = float(initial_score)
-        self.trees: list[Tree] = list(trees)
         self.learning_rate = float(learning_rate)
         self.variant = variant
         self.lam = lam
@@ -46,13 +45,16 @@ class BoostedModel(Predictor):
         self.model_kind = variant
         self.train_loss_: list[float] = []
         self.feature_gain_: np.ndarray | None = None
-        self.scorer = TreeScorer(self.trees)
+
+    @property
+    def offset(self) -> tuple[float, float]:
+        return self.initial_score, self.learning_rate
+
+    def link(self, raw: np.ndarray) -> np.ndarray:
+        return sigmoid(raw)
 
     def decision_function(self, X) -> np.ndarray:
-        return self.scorer.score(self._as_matrix(X), self.initial_score, self.learning_rate)
-
-    def predict_proba(self, X) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
+        return self.scorer.score(self._as_matrix(X), *self.offset)
 
 
 def _subsample_rows(rng, n, fraction):

@@ -8,11 +8,10 @@ import numbers
 import numpy as np
 
 from ..errors import ScorekitError
-from .base import Predictor
-from .tree import Tree, TreeScorer, grow_trees
+from .tree import TreeModel, grow_trees
 
 
-class ForestModel(Predictor):
+class ForestModel(TreeModel):
     """Probability = mean over trees of the leaf class-1 proportion: 0.0
     plus each tree's leaf value in tree order, divided by the tree count.
     Soft voting keeps scores graded enough for rank metrics.
@@ -23,18 +22,17 @@ class ForestModel(Predictor):
     """
 
     model_kind = "forest"
+    offset = (0.0, 1.0)
 
     def __init__(self, trees, feature_names, mtry, seed, max_depth=None, min_leaf=1):
-        super().__init__(feature_names)
-        self.trees: list[Tree] = list(trees)
+        super().__init__(trees, feature_names)
         self.mtry = mtry
         self.seed = seed
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.scorer = TreeScorer(self.trees)
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.scorer.score(self._as_matrix(X), 0.0, 1.0) / len(self.trees)
+    def link(self, raw: np.ndarray) -> np.ndarray:
+        return raw / len(self.trees)
 
 
 def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,

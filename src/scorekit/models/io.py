@@ -66,6 +66,13 @@ def model_to_dict(model, train_config: dict | None = None) -> dict:
     return doc
 
 
+def _check_finite(what: str, values) -> None:
+    """BadModel when a number of `values` is NaN or infinite: `train`
+    writes none, and scores made from one would be NaN or saturated."""
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise BadModel("a non-finite %s" % what)
+
+
 def _tree(arrays: dict, n_features: int, i: int) -> Tree:
     """Tree i of a document; BadModel if `grow_trees` could not have grown it."""
     tree = Tree(**{name: np.array(arrays[name], dtype=code) for name, code in NODE_ARRAYS})
@@ -88,6 +95,7 @@ def _tree(arrays: dict, n_features: int, i: int) -> Tree:
         raise BadModel("tree %d: a feature index outside the %d feature names" % (i, n_features))
     if np.isnan(tree.threshold[split]).any():
         raise BadModel("tree %d: a NaN threshold" % i)
+    _check_finite("value in tree %d" % i, tree.value)
     return tree
 
 
@@ -95,6 +103,8 @@ def _logistic(block: dict, names) -> LogisticModel:
     if len(block["coefficients"]) != len(names):
         raise BadModel("%d coefficients for %d feature names"
                        % (len(block["coefficients"]), len(names)))
+    _check_finite("coefficient", block["coefficients"])
+    _check_finite("intercept", block["intercept"])
     return LogisticModel(block["coefficients"], block["intercept"], names,
                          converged=block["converged"], n_iter=block["n_iter"])
 
@@ -122,6 +132,8 @@ def model_from_dict(doc: dict):
     if kind == "forest":
         return ForestModel(trees, names, mtry=doc["mtry"], seed=doc["seed"],
                            max_depth=doc["max_depth"], min_leaf=doc["min_leaf"])
+    _check_finite("initial_score", doc["initial_score"])
+    _check_finite("learning_rate", doc["learning_rate"])
     return BoostedModel(doc["initial_score"], trees, doc["learning_rate"],
                         names, variant=doc["variant"], lam=doc["lam"],
                         gamma=doc["gamma"], params=doc["params"])

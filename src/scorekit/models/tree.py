@@ -28,11 +28,19 @@ consecutive groups whose tables fit TABLE_BYTES. It routes every row as
 the walk does, to the same bits. A model whose tables would not fit at any
 group size is not compiled and walks its trees instead. Compiled forms
 live only in memory and never reach the model file.
+
+`TreeScorer` also scores variants, copies of X with some columns
+substituted, as the explainers make them: a row's mask is an AND over
+features, so the features a run of variants leaves alone are matched once
+per row and only the substituted values once per variant. `TreeModel`
+gives the three tree models their one predict_proba and predict_variants,
+each model only its base, rate and link.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -467,33 +475,97 @@ class BitVectorTrees:
 
     def score(self, X, base: float, rate: float) -> np.ndarray:
         """base + rate * v_0 + rate * v_1 + ... per row, added in tree order,
-        where v_t is the leaf value tree t routes the row to.
+        where v_t is the leaf value tree t routes the row to: score_runs of
+        X as it is.
+        """
+        return self.score_runs(np.asarray(X, dtype=float), [((), np.empty((1, 1, 0)))],
+                               base, rate)[0]
+
+    def score_runs(self, X, runs, base: float, rate: float) -> np.ndarray:
+        """Scores of X under runs of column substitutions, one row per
+        variant of every run in turn, each as `score` gives it on the
+        substituted copy of X.
+
+        A run is (columns, values): variant v of it sets the distinct
+        columns `columns` of X to values[v], an array of shape (1 or rows,
+        len(columns)) whose one row is broadcast over X. Per block of rows
+        of X, every feature is searched once per row, and per group of
+        trees each run ANDs the tables of the features it leaves alone once
+        per row. The substituted values are searched once per variant and
+        value and ANDed into that, in blocks of variants, of any runs, of at
+        most SCORE_CELLS mask bytes.
 
         searchsorted(side="left") counts the thresholds strictly below x, so
         x == t passes a test and NaN, sorted last, fails every one: the `<=`
         rule of tree_leaves, NaN going right.
         """
-        X = np.asarray(X, dtype=float)
         scaled = rate * self.values  # the products the per-tree sum adds
         word_bytes = self.words * np.dtype(self.dtype).itemsize
         step = max(1, SCORE_CELLS // max(1, min(self.group_size, len(scaled)) * word_bytes))
-        ones = np.iinfo(self.dtype).max
-        out = np.empty(X.shape[0])
+        slot = {j: k for k, j in enumerate(self.features)}
+        sizes = [len(values) for _, values in runs]
+        ends = list(itertools.accumulate(sizes))
+        firsts = [end - size for end, size in zip(ends, sizes)]
+        run_of = [r for r, size in enumerate(sizes) for _ in range(size)]
+        out = np.empty((len(run_of), X.shape[0]))
         for start in range(0, X.shape[0], step):
             block = X[start:start + step]
+            rows = block.shape[0]
             below = [np.searchsorted(thr, block[:, j], side="left")
                      for j, thr in zip(self.features, self.thresholds)]
-            acc = np.full(block.shape[0], base)
+            # per run, the threshold counts of the features it substitutes,
+            # (variants, 1 or rows) each
+            subs = []
+            for columns, values in runs:
+                if values.shape[1] > 1:  # one value per row
+                    values = values[:, start:start + step]
+                subs.append({slot[j]: np.searchsorted(self.thresholds[slot[j]], values[:, :, i],
+                                                      side="left")
+                             for i, j in enumerate(columns) if j in slot})
+            per_block = max(1, step // rows)  # variants a mask block
+            acc = np.full((len(run_of), rows), base)
             for first, group in zip(range(0, len(scaled), self.group_size), self.groups):
-                values = scaled[first:first + self.group_size]
-                mask = np.full((block.shape[0], len(values) * self.words), ones, self.dtype)
-                for k, index, table in group:
-                    rows = below[k] if index is None else index.take(below[k])
-                    mask &= table.take(rows, axis=0)
-                for tree_values, leaf in zip(values, self._exit_leaves(mask)):
-                    acc += tree_values.take(leaf)
-            out[start:start + step] = acc
+                group_values = scaled[first:first + self.group_size]
+                width = len(group_values) * self.words
+                tables = [(k, table, below[k] if index is None else index.take(below[k]),
+                           index) for k, index, table in group]
+                held = None  # (run, what _kept gives for it)
+                for lo in range(0, len(run_of), per_block):
+                    hi = min(lo + per_block, len(run_of))
+                    mask = None
+                    for r in range(run_of[lo], run_of[hi - 1] + 1):
+                        if held is None or held[0] != r:
+                            held = (r,) + self._kept(tables, subs[r], rows, width)
+                        _, kept, changed = held
+                        if not changed and hi - lo == 1:  # X's own mask, used up
+                            mask, held = kept, None
+                            break
+                        if mask is None:
+                            mask = np.empty((hi - lo, rows, width), self.dtype)
+                        a, b = max(lo, firsts[r]), min(hi, ends[r])
+                        part = mask[a - lo:b - lo]  # (variants, rows, width)
+                        part[...] = kept
+                        for at, table in changed:
+                            part &= table.take(at[a - firsts[r]:b - firsts[r]], axis=0)
+                    total = acc[lo:hi].reshape(-1)  # a view: acc is C-ordered
+                    for tree_values, leaf in zip(group_values,
+                                                 self._exit_leaves(mask.reshape(-1, width))):
+                        total += tree_values.take(leaf)
+            out[:, start:start + step] = acc
         return out
+
+    def _kept(self, tables, subs, rows, width):
+        """A run's part of a group's masks: the (rows, width) AND of the
+        tables of the features it leaves alone, and (table rows per variant,
+        table) of those it substitutes, subs giving their threshold counts."""
+        kept = np.full((rows, width), np.iinfo(self.dtype).max, self.dtype)
+        changed = []
+        for k, table, at, index in tables:
+            if k in subs:
+                changed.append((subs[k] if index is None else index.take(subs[k]), table))
+            else:
+                kept &= table.take(at, axis=0)
+        return kept, changed
 
     def _exit_leaves(self, mask) -> np.ndarray:
         """(trees, rows): the number of each row's exit leaf in each tree of
@@ -652,22 +724,71 @@ class TreeScorer:
             out += rate * predict_tree(tree, X)
         return out
 
+    def score_variants(self, X, variants, base: float, rate: float) -> np.ndarray:
+        """(len(variants), rows): row k is `score` of X under variant k, a
+        (columns, values) pair standing for a copy of X with
+        `copy[:, columns] = values`, on the compiled form (which must not
+        be None). Consecutive variants of the same columns and shape of
+        values make one run of BitVectorTrees.score_runs, their values one
+        row when the same for every row of X (a grid point), else one per
+        row (a permutation)."""
+        n, p = X.shape
+        runs = []
+        variants = ((np.arange(p)[columns], np.asarray(values, dtype=float))
+                    for columns, values in variants)
+        for (key, shape), run in itertools.groupby(
+                variants, key=lambda v: (np.atleast_1d(v[0]).tolist(), v[1].shape)):
+            run = list(run)
+            target = (len(run), n) + run[0][0].shape  # the copies' [:, columns]
+            values = np.array([v for _, v in run])
+            values = np.broadcast_to(
+                values.reshape((len(run),) + (1,) * (len(target) - 1 - len(shape)) + shape),
+                target).reshape(len(run), n, len(key))
+            runs.append((key, values if n > 1 and values.strides[1] else values[:, :1]))
+        return self.bit_trees.score_runs(X, runs, base, rate)
 
-class DecisionTree(Predictor):
+
+class TreeModel(Predictor):
+    """A model of trees scored by one TreeScorer: its probability is
+    link(base + rate * v_0 + rate * v_1 + ...), with base and rate from
+    `offset`. predict_proba and predict_variants share both; the latter
+    scores on the compiled trees, or stacks (the default) when they walk.
+    """
+
+    def __init__(self, trees: list[Tree], feature_names):
+        super().__init__(feature_names)
+        self.trees: list[Tree] = list(trees)
+        self.scorer = TreeScorer(self.trees)
+
+    @property
+    def offset(self) -> tuple[float, float]:
+        """(base, rate) of the raw score."""
+        raise NotImplementedError
+
+    def link(self, raw: np.ndarray) -> np.ndarray:
+        return raw
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.link(self.scorer.score(self._as_matrix(X), *self.offset))
+
+    def predict_variants(self, X, variants) -> np.ndarray:
+        if self.scorer.bit_trees is None:
+            return super().predict_variants(X, variants)
+        return self.link(self.scorer.score_variants(self._as_matrix(X), variants, *self.offset))
+
+
+class DecisionTree(TreeModel):
     """A single classification tree scoring leaf class-1 proportions."""
 
     model_kind = "tree"
+    # -0.0 + v is v for every v, -0.0 included: the leaf values themselves
+    offset = (-0.0, 1.0)
 
     def __init__(self, tree: Tree, feature_names, max_depth=None, min_leaf=1):
-        super().__init__(feature_names)
+        super().__init__([tree], feature_names)
         self.tree = tree
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.scorer = TreeScorer([tree])
-
-    def predict_proba(self, X) -> np.ndarray:
-        # -0.0 + v is v for every v, -0.0 included: the leaf values themselves
-        return self.scorer.score(self._as_matrix(X), -0.0, 1.0)
 
 
 def train_tree(X, y, max_depth=None, min_leaf=1, feature_names=None) -> DecisionTree:

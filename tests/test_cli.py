@@ -367,9 +367,14 @@ class TestTrainPredictExplainReport:
         assert run("train", "--family", "logistic", "--config", cfg,
                    "--out", pipeline_dir) == 0
         model = pipeline_dir / "model_logistic.json"
-        doc = json.loads(model.read_text())
-        doc["coefficients"][0] = float("nan")
-        model.write_text(json.dumps(doc))
+        # a blank cell of a model feature in the explained part scores NaN
+        feature = json.loads(model.read_text())["feature_names"][0]
+        part = pipeline_dir / "splits" / "test.csv"
+        with open(part, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(feature)] = ""
+        with open(part, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
         code = run("explain", "--what", "pfi", "--model", model,
                    "--config", cfg, "--out", pipeline_dir)
         assert code == 2
@@ -519,13 +524,14 @@ def set_root(name, value):
 class TestBadModelFile:
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
-        """The small pipeline with a tree and a logistic model, built once."""
+        """The small pipeline with a model of each kind of file, built once."""
         root = tmp_path_factory.mktemp("trained")
         (root / "config.yaml").write_text(yaml.safe_dump(SMALL_CONFIG), encoding="utf-8")
         out = root / "run"
         assert run("synth", "--config", root / "config.yaml", "--out", out, "--seed", 3) == 0
         for argv in (["split"], ["select"], ["train", "--family", "tree"],
-                     ["train", "--family", "logistic"]):
+                     ["train", "--family", "logistic"], ["train", "--family", "logistic_woe"],
+                     ["train", "--family", "gbm"]):
             assert run(*argv, "--config", out / "config.yaml", "--out", out) == 0
         return out
 
@@ -548,9 +554,27 @@ class TestBadModelFile:
         ("tree", set_root("threshold", lambda doc: float("nan")), "tree 0: a NaN threshold"),
         ("logistic", edited(lambda doc: doc["coefficients"].append(0.5)),
          "6 coefficients for 5 feature names"),
+        # each scored nan with exit 0 before model files were checked for them
+        ("tree", edited(lambda doc: doc["trees"][0]["value"].__setitem__(-1, float("nan"))),
+         "a non-finite value in tree 0"),
+        ("logistic", edited(lambda doc: doc["coefficients"].__setitem__(0, float("nan"))),
+         "a non-finite coefficient"),
+        ("logistic", edited(lambda doc: doc.update(intercept=float("nan"))),
+         "a non-finite intercept"),
+        ("logistic_woe",
+         edited(lambda doc: doc["logistic"]["coefficients"].__setitem__(1, float("nan"))),
+         "a non-finite coefficient"),
+        ("logistic_woe", edited(lambda doc: doc["logistic"].update(intercept=float("nan"))),
+         "a non-finite intercept"),
+        ("gbm", edited(lambda doc: doc.update(initial_score=float("nan"))),
+         "a non-finite initial_score"),
+        ("gbm", edited(lambda doc: doc.update(learning_rate=float("inf"))),
+         "a non-finite learning_rate"),
     ], ids=["not_json", "truncated", "schema_1", "schema_99", "unknown_kind", "missing_key",
             "unequal_arrays", "child_past_end", "feature_index", "nan_threshold",
-            "coefficient_count"])
+            "coefficient_count", "nan_leaf_value", "nan_coefficient", "nan_intercept",
+            "woe_nan_coefficient", "woe_nan_intercept", "nan_initial_score",
+            "inf_learning_rate"])
     def test_damaged_model_exit_2(self, trained, tmp_path, capsys, family, edit, message):
         model = tmp_path / "model.json"
         model.write_text(edit((trained / ("model_%s.json" % family)).read_text()),

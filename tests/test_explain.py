@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from scorekit import explain
 from scorekit.explain import (
     break_down,
     ceteris_paribus,
@@ -22,6 +21,7 @@ from scorekit.models import (
     train_woe_logistic,
     train_xgb,
 )
+from scorekit.models import base as base_module
 
 from conftest import ColumnModel, ConstantModel, numeric_dataset
 
@@ -142,7 +142,7 @@ def test_batched_equals_one_call_per_substitution(six_families, monkeypatch, bud
     if budget == "split_steps":
         # two and a half variants of X per call: chunk boundaries fall
         # inside every PFI, PDP and break-down step
-        monkeypatch.setattr(explain, "PREDICT_CELLS", 5 * X.size // 2)
+        monkeypatch.setattr(base_module, "PREDICT_CELLS", 5 * X.size // 2)
     grid = np.unique(np.quantile(X[:, 1], np.linspace(0, 1, 5)))
     for model in models:
         pfi = permutation_importance(model, X, y, n_repeats=3, seed=4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorekit.models import BoostedModel, DecisionTree, ForestModel, train_tree
+from scorekit.models import BoostedModel, DecisionTree, ForestModel, Predictor, train_tree
 from scorekit.models import tree as tree_module
 from scorekit.models.tree import (
     Tree,
@@ -324,6 +324,57 @@ def test_shared_scorer_matches_per_tree_walk(case):
             assert compiled.words == -(-max(int((t.left < 0).sum()) for t in trees) // 64)
             assert len(compiled.groups) == -(-len(trees) // compiled.group_size)
         assert model.predict_proba(X).tobytes() == reference_score(kind, trees, X).tobytes()
+
+
+@st.composite
+def variant_cases(draw):
+    """A tree, forest, gbm or xgb model of random trees (some of more than 64
+    leaves), rows of NaN, +-inf and threshold values, and runs of variants:
+    constant and per-row values, one or several columns, runs of one column
+    set and runs of different ones, as the explainers make them."""
+    kind = draw(st.sampled_from(["tree", "forest", "gbm", "xgb"]))
+    p = draw(st.integers(1, 4))
+    leaves = st.one_of(st.integers(1, 12), st.sampled_from([64, 65, 130]))
+    n_trees = 1 if kind == "tree" else draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    trees = [grid_tree(rng, draw(leaves), p) for _ in range(n_trees)]
+    cells = np.array([np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID)
+    n = draw(st.sampled_from([0, 1, 1, 2, 9, 40]))
+    X = rng.choice(cells, size=(n, p))
+    variants = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            columns = draw(st.integers(0, p - 1))
+        else:
+            columns = draw(st.permutations(range(p)))[:draw(st.integers(1, p))]
+        for _ in range(draw(st.integers(1, 4))):
+            per_row = draw(st.booleans())
+            shape = ((n,) if per_row else ()) + np.shape(columns)
+            variants.append((columns, rng.choice(cells, size=shape)))
+    factor = draw(st.sampled_from([0, 1.0, 2.5, None]))
+    budget = (tree_module.TABLE_BYTES if factor is None
+              else int(factor * smallest_layout_bytes(trees)))
+    return kind, trees, X, variants, budget, draw(st.sampled_from([1, 7, 64, 300]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=variant_cases())
+def test_predict_variants_matches_stacked_predict_proba(case):
+    kind, trees, X, variants, budget, cells = case
+    names = ["x%d" % j for j in range(X.shape[1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "TABLE_BYTES", budget)  # groups split, or the walk
+        mp.setattr(tree_module, "SCORE_CELLS", cells)  # blocks split runs of variants
+        if kind == "tree":
+            model = DecisionTree(trees[0], names)
+        elif kind == "forest":
+            model = ForestModel(trees, names, mtry=1, seed=0)
+        else:
+            model = BoostedModel(0.25, trees, 0.3, names, variant=kind)
+        scores = model.predict_variants(X, variants)
+        assert (model.scorer.bit_trees is None) == (budget < smallest_layout_bytes(trees))
+    assert scores.shape == (len(variants), X.shape[0])
+    assert scores.tobytes() == Predictor.predict_variants(model, X, variants).tobytes()
 
 
 def test_over_budget_forest_walks_to_the_same_bytes():
