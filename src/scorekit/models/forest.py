@@ -8,7 +8,7 @@ import numbers
 import numpy as np
 
 from ..errors import ScorekitError
-from .tree import TreeModel, grow_trees
+from .tree import RankTable, TreeModel, grow_trees
 
 
 class ForestModel(TreeModel):
@@ -56,7 +56,7 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
         feature_names = ["x%d" % j for j in range(p)]
 
     rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
-    trees = grow_trees(X, y, None,
+    trees = grow_trees(RankTable(X), y, None,
                        [rng.integers(0, n, size=n) for rng in rngs],
                        rngs, objective="gini", max_depth=max_depth, min_leaf=min_leaf,
                        mtry=mtry, threads=threads)

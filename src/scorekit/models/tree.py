@@ -13,7 +13,13 @@ every boundary between distinct adjacent values, all in one batch. Ties
 go to the first candidate in (left size, column) order, as np.argmax over
 a node's (boundary, column) gains takes it, which keeps trees
 deterministic regardless of thread count and of the trees grown beside
-them.
+them. A tree that draws mtry columns (the forest's) grows depth first,
+one node per step, so that its draws keep their preorder; any other (a
+single tree, every boosting round) grows level by level, all of its open
+nodes in one search per step, and is renumbered into preorder when done.
+Every search of one fit reads one `RankTable` of X, built once: a boosting
+round grows on a subsample of X's rows and a subset of its columns without
+copying them.
 
 A tree is a `Tree` of parallel node arrays in preorder, left child first;
 a model file holds each tree as exactly these arrays. `tree_leaves` is the
@@ -72,27 +78,6 @@ class Tree:
     gain: np.ndarray
 
 
-def _score_two_class(nL, nR, sL, sR):
-    # maximizing this equals minimizing weighted child Gini impurity
-    return (sL * sL + (nL - sL) * (nL - sL)) / nL + (sR * sR + (nR - sR) * (nR - sR)) / nR
-
-
-def _score_sse(nL, nR, sL, sR):
-    # maximizing this equals minimizing the within-child sum of squares
-    return sL * sL / nL + sR * sR / nR
-
-
-def split_gain_grad(g_left, h_left, g_right, h_right, lam, gamma):
-    """Regularized second-order split gain; positive means worth splitting."""
-    total_g = g_left + g_right
-    total_h = h_left + h_right
-    return 0.5 * (
-        g_left * g_left / (h_left + lam)
-        + g_right * g_right / (h_right + lam)
-        - total_g * total_g / (total_h + lam)
-    ) - gamma
-
-
 LEAF_CLIP = 4.0  # cap for leaves whose hessian sum vanishes
 
 
@@ -132,6 +117,17 @@ def _column_ranks(XT) -> np.ndarray:
     ranks.put(at, dense)
     ranks[np.isnan(XT)] = n
     return ranks
+
+
+class RankTable:
+    """X transposed (columns x rows) and its _column_ranks, built once for
+    every tree grown on rows of X. The dense ranks of X order any subset of
+    its rows as the subset's own ranks would: ties by position, NaN last,
+    -0.0 tied with 0.0."""
+
+    def __init__(self, X):
+        self.XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+        self.ranks = _column_ranks(self.XT)
 
 
 def _prefix_sums(v, starts, ends, exact):
@@ -200,24 +196,62 @@ def _split_frontier(XT, ranks, a, b, sample, pos, sizes, cols, objective, min_le
     valid &= (n_left >= min_leaf) & (n_right >= max(min_leaf, 1))
 
     total = tot_a[0]
-    sum_right = tot_a.repeat(sizes, axis=1) - sum_a
+    sum_right = tot_a.repeat(sizes, axis=1)
+    sum_right -= sum_a
+    # each gain formula one operation at a time, in place: every step rounds
+    # as in the plain expression, and a large node's search allocates a few
+    # temporaries, not a dozen
     with np.errstate(divide="ignore", invalid="ignore"):  # n_right = 0, never valid
+        gain = sum_a * sum_a
         if objective == "gini":
-            gain = _score_two_class(n_left, n_right, sum_a, sum_right)
+            # (sL^2 + (nL - sL)^2) / nL + (sR^2 + (nR - sR)^2) / nR less the
+            # parent's: maximizing it minimizes the weighted child Gini impurity
+            other = np.subtract(n_left, sum_a)
+            other *= other
+            gain += other
+            gain /= n_left
+            np.subtract(n_right, sum_right, out=other)
+            other *= other
+            sum_right *= sum_right
+            sum_right += other
+            sum_right /= n_right
+            gain += sum_right
             parent = (total * total + (sizes - total) * (sizes - total)) / sizes
             gain -= parent.repeat(sizes)
             gain /= m
             floor = 1e-12
         elif objective == "mse":
-            gain = _score_sse(n_left, n_right, sum_a, sum_right)
+            # sL^2 / nL + sR^2 / nR less the parent's: maximizing it minimizes
+            # the within-child sum of squares
+            gain /= n_left
+            sum_right *= sum_right
+            sum_right /= n_right
+            gain += sum_right
             parent = total * total / sizes
             gain -= parent.repeat(sizes)
             gain /= m
             floor = 1e-12 * np.maximum(1.0, np.abs(parent) / sizes)
         elif objective == "grad":
+            # the regularized second-order gain, positive when worth splitting:
+            # 0.5 * (gL^2 / (hL + lam) + gR^2 / (hR + lam)
+            #        - (gL + gR)^2 / (hL + hR + lam)) - gamma
             sum_b, tot_b = _prefix_sums(b.take(rows), starts, ends, exact)
-            gain = split_gain_grad(sum_a, sum_b, sum_right,
-                                   tot_b.repeat(sizes, axis=1) - sum_b, lam, gamma)
+            h_right = tot_b.repeat(sizes, axis=1)
+            h_right -= sum_b
+            total_h = sum_b + h_right
+            sum_b += lam
+            gain /= sum_b
+            total_g = np.add(sum_a, sum_right, out=sum_b)
+            sum_right *= sum_right
+            h_right += lam
+            sum_right /= h_right
+            gain += sum_right
+            total_g *= total_g
+            total_h += lam
+            total_g /= total_h
+            gain -= total_g
+            gain *= 0.5
+            gain -= gamma
             floor = 0.0
         else:
             raise ValueError("unknown objective %r" % objective)
@@ -230,11 +264,12 @@ def _split_frontier(XT, ranks, a, b, sample, pos, sizes, cols, objective, min_le
     hits = np.sort(i * k + j)
     i, j = np.divmod(hits[np.searchsorted(hits, starts[split] * k)], k)
     lo, hi = xs[j, i], xs[j, i + 1]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         threshold = (lo + hi) / 2.0
-    # adjacent floats round up to hi, and -inf with inf gives NaN (a test no
-    # row passes): lo keeps the partition
-    threshold = np.where(threshold < hi, threshold, lo)
+    # adjacent floats round up to hi, two large negatives overflow to -inf
+    # (a test lo fails), and -inf with inf gives NaN (a test no row passes):
+    # lo keeps the partition
+    threshold = np.where((lo <= threshold) & (threshold < hi), threshold, lo)
     return (split, cols[split, j], threshold, best[split], j, starts[split], i + 1,
             ends[split], sum_a[j, i], order)
 
@@ -256,28 +291,50 @@ NODE_ARRAYS = (("value", "d"), ("n", "q"), ("feature", "q"), ("threshold", "d"),
                ("left", "q"), ("right", "q"), ("gain", "d"))
 
 
-def grow_trees(X, a, b, roots, rngs, objective="gini", max_depth=None, min_leaf=1,
-               mtry=None, lam=0.0, gamma=0.0, threads=1) -> list[Tree]:
+def _in_preorder(arrays):
+    """A tree's node arrays, numbered in growth order, renumbered into
+    preorder, left child first; and the new id of every old one."""
+    left, right = arrays["left"].tolist(), arrays["right"].tolist()
+    order, stack = [], [0]
+    while stack:
+        k = stack.pop()
+        order.append(k)
+        if left[k] >= 0:
+            stack += (right[k], left[k])
+    new_id = np.empty(len(order), dtype=np.int64)
+    new_id[order] = np.arange(len(order))
+    out = {name: arr[order] for name, arr in arrays.items()}
+    for name in ("left", "right"):
+        out[name] = np.where(out[name] >= 0, new_id[out[name]], -1)
+    return out, new_id
+
+
+def grow_trees(table: RankTable, a, b, roots, rngs, objective="gini", max_depth=None,
+               min_leaf=1, mtry=None, cols=None, lam=0.0, gamma=0.0, threads=1,
+               leaf_of=None) -> list[Tree]:
     """Grow one CART tree per entry of `roots`, the row ids of X (repeats
-    allowed, in order) that tree is fitted on, side by side.
+    allowed, in order) that tree is fitted on, side by side, where `table`
+    is X's RankTable.
 
     `a` is the target (0/1 labels for "gini", residuals, or gradients); `b`
-    is the hessian column for the "grad" objective. Tree t grows depth first
-    from an explicit stack, so deep trees cannot hit the recursion limit, and
-    draws its mtry columns from rngs[t] at each node it tries to split. A
-    node is numbered when it is popped and the left child is popped right
-    after its parent, so the numbering is preorder, left child first, and a
-    right child fills in its parent's `right` when its turn comes. A node's
-    rows are held as their positions in `sample`, the roots end to end: in
-    the split search, ties break by position as they would by the row order
-    of a node.
+    is the hessian column for the "grad" objective; both hold a value per
+    row of X. Every node may split on the columns `cols` (ascending; all of
+    X's by default), or with `mtry` on mtry columns tree t draws from rngs[t]
+    at each node it tries to split. A node's rows are held as their
+    positions in `sample`, the roots end to end: in the split search, ties
+    break by position as they would by the row order of a node. Trees grow
+    from explicit stacks, so deep trees cannot hit the recursion limit.
 
-    Each step pops the next node of every tree that has one, in the tree's
-    own order, and searches all of them at once: a tree does not depend on
-    the trees grown beside it, nor on `threads`, which splits the trees into
-    that many contiguous groups grown in parallel.
+    Each step searches a frontier of nodes at once. A tree with mtry draws
+    adds its next node, depth first: a node is numbered when it is taken
+    and the left child is taken right after its parent, so the numbering is
+    preorder and its draws come in preorder. Any other tree adds all of its
+    open nodes, a level at a time, and is renumbered into preorder when it
+    is done. A tree does not depend on the trees grown beside it, nor on
+    `threads`, which splits the trees into that many contiguous groups grown
+    in parallel. `leaf_of`, if given, is filled with the id of the leaf
+    every position of `sample` ends in.
     """
-    X = np.asarray(X, dtype=float)
     a = np.asarray(a, dtype=float)
     if b is not None:
         b = np.asarray(b, dtype=float)
@@ -286,80 +343,96 @@ def grow_trees(X, a, b, roots, rngs, objective="gini", max_depth=None, min_leaf=
         if len(bad):
             raise ScorekitError("a classification tree needs a 0/1 target, got %r"
                                 % float(bad[0]))
-    p = X.shape[1]
+    XT, ranks = table.XT, table.ranks
+    p = XT.shape[0]
     use_mtry = mtry is not None and mtry < p
     if use_mtry and any(rng is None for rng in rngs):
         raise ValueError("mtry sampling needs an rng")
-    XT = np.ascontiguousarray(X.T)
-    ranks = _column_ranks(XT)
+    candidates = np.arange(p) if cols is None else np.asarray(cols, dtype=np.int64)
     sample = np.concatenate(roots).astype(np.int64)  # every tree's rows, one position each
     offsets = np.cumsum([0] + [len(rows) for rows in roots])
     del roots  # `sample` holds them now; this frees them if the caller kept none
-    width = mtry if use_mtry else p
+    width = mtry if use_mtry else len(candidates)
     gini = objective == "gini"
     depth_cap = math.inf if max_depth is None else max_depth
 
     def grow(group):
-        # per tree: its stack of (positions, depth, parent awaiting its right
-        # child or -1, sum of a over the rows) and its node arrays
-        stacks = [[(np.arange(offsets[t], offsets[t + 1]), 0, -1,
+        # per tree: its open nodes as (positions, depth, parent or -1, whether
+        # the left child, sum of a over the rows) and its node arrays
+        stacks = [[(np.arange(offsets[t], offsets[t + 1]), 0, -1, True,
                     float(a.take(sample[offsets[t]:offsets[t + 1]]).sum()))] for t in group]
         nodes = [tuple(array(code) for _, code in NODE_ARRAYS) for _ in group]
         live = list(range(len(group)))
         while live:
             frontier, draws = [], []
             for t in live:
-                pos, depth, parent, total = stacks[t].pop()
                 value, count, feature, threshold, left, right, gain = nodes[t]
-                k = len(value)
-                if parent >= 0:
-                    right[parent] = k
-                m = len(pos)
-                if gini:  # the mean and purity of 0/1 labels, from their exact sum
-                    value.append(total / m)
-                    pure = total == 0.0 or total == m
-                else:  # float sums, added in the node's order
-                    pos.sort()
-                    rows = sample.take(pos)
-                    a_n = a.take(rows)
-                    value.append(_leaf_value(objective, a_n, None if b is None else b.take(rows), lam))
-                    pure = objective == "mse" and a_n.max() - a_n.min() == 0.0  # np.ptp
-                count.append(m)
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                gain.append(0.0)
-                if depth >= depth_cap or pure:
-                    continue
                 if use_mtry:
-                    draw = rngs[group[t]].choice(p, size=mtry, replace=False)
-                if m < 2 * min_leaf or m < 2 or not width:
-                    continue
-                frontier.append((t, k, pos, depth, total))
-                if use_mtry:
-                    draws.append(draw)
+                    taken = [stacks[t].pop()]
+                else:
+                    taken, stacks[t] = stacks[t], []
+                for pos, depth, parent, is_left, total in taken:
+                    k = len(value)
+                    if parent >= 0:
+                        (left if is_left else right)[parent] = k
+                    if leaf_of is not None:
+                        leaf_of[pos] = k  # until its children take the rows
+                    m = len(pos)
+                    if gini:  # the mean and purity of 0/1 labels, from their exact sum
+                        value.append(total / m)
+                        pure = total == 0.0 or total == m
+                    else:  # float sums, added in the node's order
+                        pos.sort()
+                        rows = sample.take(pos)
+                        a_n = a.take(rows)
+                        value.append(_leaf_value(objective, a_n,
+                                                 None if b is None else b.take(rows), lam))
+                        pure = objective == "mse" and a_n.max() - a_n.min() == 0.0  # np.ptp
+                    count.append(m)
+                    feature.append(-1)
+                    threshold.append(0.0)
+                    left.append(-1)
+                    right.append(-1)
+                    gain.append(0.0)
+                    if depth >= depth_cap or pure:
+                        continue
+                    if use_mtry:
+                        draw = rngs[group[t]].choice(p, size=mtry, replace=False)
+                    if m < 2 * min_leaf or m < 2 or not width:
+                        continue
+                    frontier.append((t, k, pos, depth, total))
+                    if use_mtry:
+                        draws.append(draw)
             for lo, hi in _chunks([len(f[2]) * width for f in frontier]):
                 part = frontier[lo:hi]
-                cols = (np.sort(np.concatenate(draws[lo:hi]).reshape(-1, mtry), axis=1)
-                        if use_mtry else np.arange(p)[None].repeat(len(part), axis=0))
+                part_cols = (np.sort(np.concatenate(draws[lo:hi]).reshape(-1, mtry), axis=1)
+                             if use_mtry else candidates[None].repeat(len(part), axis=0))
                 *found, order = _split_frontier(
                     XT, ranks, a, b, sample, np.concatenate([f[2] for f in part]),
-                    np.array([len(f[2]) for f in part]), cols, objective, min_leaf, lam, gamma)
+                    np.array([len(f[2]) for f in part]), part_cols, objective, min_leaf, lam,
+                    gamma)
                 for s, f, thr, g, j, start, mid, end, sum_left in zip(*(v.tolist() for v in found)):
                     t, k, _, depth, total = part[s]
-                    _, _, feature, threshold, left, _, gain = nodes[t]
+                    _, _, feature, threshold, _, _, gain = nodes[t]
                     feature[k] = f
                     threshold[k] = thr
                     gain[k] = g
-                    left[k] = k + 1
                     # copies: a child waiting on a stack must not hold the chunk's array
-                    stacks[t].append((order[j, mid:end].copy(), depth + 1, k, total - sum_left))
-                    stacks[t].append((order[j, start:mid].copy(), depth + 1, -1, sum_left))
+                    stacks[t].append((order[j, mid:end].copy(), depth + 1, k, False,
+                                      total - sum_left))
+                    stacks[t].append((order[j, start:mid].copy(), depth + 1, k, True, sum_left))
             live = [t for t in live if stacks[t]]
-        return [Tree(**{name: np.frombuffer(arr, dtype=arr.typecode)  # no copy
-                        for (name, _), arr in zip(NODE_ARRAYS, fields)})
-                for fields in nodes]
+        trees = []
+        for t, fields in zip(group, nodes):
+            arrays = {name: np.frombuffer(arr, dtype=arr.typecode)  # no copy
+                      for (name, _), arr in zip(NODE_ARRAYS, fields)}
+            if not use_mtry:
+                arrays, new_id = _in_preorder(arrays)
+                if leaf_of is not None:
+                    span = slice(offsets[t], offsets[t + 1])
+                    leaf_of[span] = new_id.take(leaf_of[span])
+            trees.append(Tree(**arrays))
+        return trees
 
     n_trees = len(offsets) - 1
     step = max(1, -(-n_trees // max(threads, 1)))
@@ -383,8 +456,8 @@ def build_tree(
     gamma: float = 0.0,
 ) -> Tree:
     """Grow one CART tree greedily on all rows of X: `grow_trees` with a
-    single tree, whose search sees one node at a time."""
-    return grow_trees(X, a, b, [np.arange(len(X))], [rng], objective=objective,
+    single tree, level by level unless it draws mtry columns."""
+    return grow_trees(RankTable(X), a, b, [np.arange(len(X))], [rng], objective=objective,
                       max_depth=max_depth, min_leaf=min_leaf, mtry=mtry, lam=lam,
                       gamma=gamma)[0]
 

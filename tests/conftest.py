@@ -52,6 +52,18 @@ def tree_from_records(nodes) -> Tree:
                    for name, default in LEAF_DEFAULTS.items()})
 
 
+def split_gain_grad(g_left, h_left, g_right, h_right, lam, gamma):
+    """Regularized second-order split gain, the plain expression; positive
+    means worth splitting."""
+    total_g = g_left + g_right
+    total_h = h_left + h_right
+    return 0.5 * (
+        g_left * g_left / (h_left + lam)
+        + g_right * g_right / (h_right + lam)
+        - total_g * total_g / (total_h + lam)
+    ) - gamma
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

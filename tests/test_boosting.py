@@ -13,10 +13,9 @@ from scorekit.models.tree import (
     build_tree,
     leaf_weight_grad,
     predict_tree,
-    split_gain_grad,
 )
 
-from conftest import tree_from_records
+from conftest import split_gain_grad, tree_from_records
 
 
 @pytest.fixture

@@ -204,6 +204,29 @@ class TestTrainPredictExplainReport:
         assert run("train", "--family", "xgb", "--config", cfg, "--out", pipeline_dir) == 2
         assert "xgb needs lam >= 0, got -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, key, value, message", [
+        ("gbm", "subsample", -0.5, "gbm needs subsample in (0, 1], got -0.5"),
+        ("xgb", "subsample", 1.5, "xgb needs subsample in (0, 1], got 1.5"),
+        ("xgb", "colsample", 0.0, "xgb needs colsample in (0, 1], got 0.0"),
+        ("gbm", "max_depth", -1, "gbm needs max_depth >= 0, got -1"),
+        ("gbm", "min_leaf", 0, "gbm needs min_leaf >= 1, got 0"),
+        ("gbm", "learning_rate", float("nan"), "gbm needs a finite learning_rate > 0, got nan"),
+        ("xgb", "learning_rate", -0.1, "xgb needs a finite learning_rate > 0, got -0.1"),
+        ("xgb", "gamma", -1.0, "xgb needs gamma >= 0, got -1.0"),
+    ], ids=["subsample_negative", "subsample_above_1", "colsample_zero", "max_depth",
+            "min_leaf", "learning_rate_nan", "learning_rate_negative", "gamma"])
+    def test_out_of_range_boosting_param_exit_2(self, pipeline_dir, capsys, family, key, value,
+                                                message):
+        cfg = pipeline_dir / "config.yaml"
+        config = yaml.safe_load(cfg.read_text())
+        config["models"][family][key] = value
+        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        capsys.readouterr()
+        assert run("train", "--family", family, "--config", cfg, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err == "error: BadParameter: %s\n" % message
+        assert not (pipeline_dir / ("model_%s.json" % family)).exists()
+
     def test_unknown_family_exit_2(self, pipeline_dir, capsys):
         code = run("train", "--family", "perceptron",
                    "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorekit.data import SplitSet
 from scorekit.errors import NonFinite, OneClassOnly
@@ -60,6 +62,16 @@ class TestAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert abs(auc(scores, labels) - auc_pair_oracle(scores, labels)) <= 1e-12
+
+    @settings(deadline=None, max_examples=200)
+    @given(pairs=st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 3.0]),
+                                    st.integers(0, 1)), min_size=2, max_size=80))
+    def test_equals_pair_oracle_on_tie_heavy_scores(self, pairs):
+        scores, labels = np.array(pairs).T
+        labels = labels.astype(int)
+        labels[:2] = [0, 1]
+        # both sides are half-integer counts over the same pair count: exact
+        assert auc(scores, labels) == auc_pair_oracle(scores, labels)
 
     def test_invariant_under_monotone_transforms(self, rng):
         scores = rng.normal(size=200)

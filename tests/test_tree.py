@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorekit.models import BoostedModel, DecisionTree, ForestModel, Predictor, train_tree
+from scorekit.models import (
+    BoostedModel,
+    DecisionTree,
+    ForestModel,
+    Predictor,
+    train_gbm,
+    train_random_forest,
+    train_tree,
+    train_xgb,
+)
 from scorekit.models import tree as tree_module
 from scorekit.models.tree import (
     Tree,
@@ -191,6 +200,16 @@ def test_split_between_infinities_keeps_its_partition():
     Q = np.vstack([X, [[0.0], [np.nan]]])
     assert predict_tree(model.tree, Q).tolist() == [0.0, 1.0, 0.0, 1.0, 1.0, 1.0]
     assert model.predict_proba(Q).tobytes() == predict_tree(model.tree, Q).tobytes()
+
+
+def test_split_between_large_negatives_keeps_its_partition():
+    # the midpoint of two large negatives overflows to -inf, which sent the
+    # rows grown on the left side right
+    X = np.array([[-1.7e308], [-1e308], [-1.7e308], [-1e308]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    model = train_tree(X, y, max_depth=1)
+    assert model.tree.threshold[0] == -1.7e308
+    assert predict_tree(model.tree, X).tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_threshold_ties_go_left_and_nan_goes_right():
@@ -402,3 +421,29 @@ def test_over_budget_forest_walks_to_the_same_bytes():
         score = scorer.score(X, 0.0, 1.0) / len(trees)
         assert score.tobytes() == reference_score("forest", trees, X).tobytes()
     assert len(sizes) > 1  # groups of more than one size were scored
+
+
+TRAINERS = {
+    "tree": lambda X, y, seed: train_tree(X, y, max_depth=4),
+    "forest": lambda X, y, seed: train_random_forest(X, y, n_trees=4, mtry=1, seed=seed),
+    "gbm": lambda X, y, seed: train_gbm(X, y, n_trees=4, max_depth=2, min_leaf=2,
+                                        subsample=0.8, seed=seed),
+    "xgb": lambda X, y, seed: train_xgb(X, y, n_trees=4, max_depth=3, subsample=0.8,
+                                        colsample=0.7, seed=seed),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), family=st.sampled_from(sorted(TRAINERS)))
+def test_predict_proba_is_equivariant_under_row_permutation(data, family):
+    cells = st.sampled_from([np.nan, -np.inf, np.inf, -1.0, -0.0, 0.0, 0.5, 2.0])
+    p = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2, 40))
+    X = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                    min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    model = TRAINERS[family](X, y, data.draw(st.integers(0, 9)))
+    Q = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                    min_size=1, max_size=60)))
+    perm = np.array(data.draw(st.permutations(range(len(Q)))))
+    assert model.predict_proba(Q[perm]).tobytes() == model.predict_proba(Q)[perm].tobytes()

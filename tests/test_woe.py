@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorekit.data import CATEGORICAL, NUMERIC, Dataset, Feature
 from scorekit.models import train_woe_logistic
@@ -135,6 +137,22 @@ class TestComputeWoe:
         y[:2] = [0, 1]
         table = compute_woe(fit_bins(x, y), x, y)
         assert sum(b.n_good + b.n_bad for b in table.bins) == 250
+        assert sum(b.n_bad for b in table.bins) == int(y.sum())
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), kind=st.sampled_from([NUMERIC, CATEGORICAL]),
+           max_bins=st.integers(2, 6), min_bin_frac=st.sampled_from([0.0, 0.05, 0.3]))
+    def test_bin_counts_sum_to_n(self, data, kind, max_bins, min_bin_frac):
+        cells = (st.sampled_from([-2.0, 0.0, 0.5, 1.0, 7.0, np.nan]) if kind == NUMERIC
+                 else st.sampled_from(["a", "b", "c", "d", None]))
+        values = data.draw(st.lists(cells, min_size=2, max_size=60))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(values),
+                                        max_size=len(values))))
+        y[:2] = [0, 1]
+        x = (feat(values) if kind == NUMERIC
+             else Feature("x", CATEGORICAL, np.array(values, dtype=object)))
+        table = compute_woe(fit_bins(x, y, max_bins=max_bins, min_bin_frac=min_bin_frac), x, y)
+        assert sum(b.n_good + b.n_bad for b in table.bins) == len(values)
         assert sum(b.n_bad for b in table.bins) == int(y.sum())
 
     def test_monotone_relabel_invariance(self, rng):
