@@ -10,6 +10,7 @@ a new Dataset and never touches the input arrays.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import logging
@@ -168,6 +169,11 @@ def _parse_float(text: str, missing_token: str):
         return math.nan  # unparseable numeric cell counts as missing
 
 
+# bytes of a file compared per numpy call when load_csv looks for line ends:
+# bounds the temporaries, which would otherwise be as large as the file
+SCAN_BYTES = 1 << 18
+
+
 def load_csv(path, schema: dict, target: str = "target",
              date_col: str | None = None, missing_token: str = "",
              target_optional: bool = False, columns=None) -> Dataset:
@@ -182,49 +188,61 @@ def load_csv(path, schema: dict, target: str = "target",
     target must be 0/1 for every row. With target_optional (scoring data)
     the target column is never read, present or not, and the Dataset holds
     an all-zero placeholder target. A header that names a parsed column
-    twice, a row whose cell count differs from the header's (named by its
-    line) or an unparseable date (named by its 0-based row, as BadTarget
-    names a bad target) raises MalformedCsv.
+    twice, a row whose cell count differs from the header's or a cell longer
+    than `csv.field_size_limit()` (both named by their line), or a date that
+    does not parse to a fixed calendar day (blank, NaT, "today" and "now"
+    included; named by its 0-based row, as BadTarget names a bad target)
+    raises MalformedCsv.
+
+    The file is read once. A well-formed all-numeric file is parsed by
+    `_load_numeric` in numpy's C reader; every other file, and every error,
+    goes through csv.reader below, to the same Dataset.
     """
     path = Path(path)
     parsed = [name for name in schema if columns is None or name in columns]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(str(path)) from None
-        first = next(reader, None)
-        if first is None:
-            raise EmptyFile("%s has a header but no data rows" % path)
+    data = path.read_bytes()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    rows = _rows(reader, path)
+    header = next(rows, None)
+    if header is None:
+        raise EmptyFile(str(path))
+    first = next(rows, None)
+    if first is None:
+        raise EmptyFile("%s has a header but no data rows" % path)
 
-        col_index = {name: i for i, name in enumerate(header)}
-        has_target = not target_optional
-        wanted = list(schema) + ([date_col] if date_col else [])
-        for name in wanted + ([target] if has_target else []):
-            if name not in col_index:
-                raise MissingColumn(name)
-        for name, kind in schema.items():
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise BadParameter("schema kind for %s must be numeric or categorical, got %r"
-                                   % (name, kind))
-        used = parsed + ([target] if has_target else []) + ([date_col] if date_col else [])
-        for name in used:
-            if header.count(name) > 1:
-                raise MalformedCsv("%s: header names column %s %d times"
-                                   % (path, name, header.count(name)))
+    col_index = {name: i for i, name in enumerate(header)}
+    has_target = not target_optional
+    wanted = list(schema) + ([date_col] if date_col else [])
+    for name in wanted + ([target] if has_target else []):
+        if name not in col_index:
+            raise MissingColumn(name)
+    for name, kind in schema.items():
+        if kind not in (NUMERIC, CATEGORICAL):
+            raise BadParameter("schema kind for %s must be numeric or categorical, got %r"
+                               % (name, kind))
+    used = parsed + ([target] if has_target else []) + ([date_col] if date_col else [])
+    for name in used:
+        if header.count(name) > 1:
+            raise MalformedCsv("%s: header names column %s %d times"
+                               % (path, name, header.count(name)))
+    keep = [col_index[name] for name in used]
 
-        # stream the rows, keeping only the cells of the parsed columns
-        keep = [col_index[name] for name in used]
-        pick = (operator.itemgetter(*keep) if len(keep) > 1
-                else lambda row: tuple(row[i] for i in keep))
-        width = len(header)
-        kept = []
-        for row in itertools.chain((first,), reader):
-            if len(row) != width:
-                raise MalformedCsv("%s line %d: %d cells, header has %d"
-                                   % (path, reader.line_num, len(row), width))
-            kept.append(pick(row))
+    if all(schema[name] == NUMERIC for name in parsed):
+        dataset = _load_numeric(data, len(header), keep, parsed,
+                                has_target, bool(date_col), missing_token)
+        if dataset is not None:
+            return dataset
+
+    # stream the rows, keeping only the cells of the parsed columns
+    pick = (operator.itemgetter(*keep) if len(keep) > 1
+            else lambda row: tuple(row[i] for i in keep))
+    width = len(header)
+    kept = []
+    for row in itertools.chain((first,), rows):
+        if len(row) != width:
+            raise MalformedCsv("%s line %d: %d cells, header has %d"
+                               % (path, reader.line_num, len(row), width))
+        kept.append(pick(row))
     n = len(kept)
     cells = list(zip(*kept))  # one tuple per kept column
     del kept
@@ -252,13 +270,102 @@ def load_csv(path, schema: dict, target: str = "target",
     if date_col:
         obs_date = np.empty(n, dtype="datetime64[D]")
         for r_i, cell in enumerate(cells[-1]):
+            # numpy reads "today" and "now" as the day of the run
             try:
-                obs_date[r_i] = np.datetime64(cell, "D")
+                obs_date[r_i] = ("NaT" if cell.lower() in ("today", "now")
+                                 else np.datetime64(cell, "D"))
             except ValueError:
-                raise MalformedCsv("%s row %d: date %r does not parse"
-                                   % (path, r_i, cell)) from None
+                obs_date[r_i] = "NaT"
+        bad = np.flatnonzero(np.isnat(obs_date))  # also blank and "NaT" cells
+        if len(bad):
+            raise MalformedCsv("%s row %d: date %r does not parse to a fixed calendar day"
+                               % (path, bad[0], cells[-1][bad[0]]))
 
     return Dataset(features, target_vals, obs_date)
+
+
+def _rows(reader, path):
+    """The rows of a csv.reader; its csv.Error (a cell longer than
+    csv.field_size_limit()) becomes MalformedCsv naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedCsv("%s line %d: %s" % (path, reader.line_num, exc)) from None
+
+
+def _load_numeric(data: bytes, width: int, keep: list, parsed: list,
+                  has_target: bool, has_date: bool, missing_token: str) -> Dataset | None:
+    """The Dataset load_csv's csv.reader path builds from a file whose
+    parsed columns are all numeric, from one np.loadtxt call; `keep` holds
+    the header positions of the `parsed` features, then of the target and
+    the date when read. None when the two readers could disagree on the
+    file, so that the csv.reader path decides it, errors included.
+
+    numpy's float parser is the one float() uses, and its date parser the
+    one np.datetime64 uses. The checks before the call rule out what the
+    C reader reads differently from csv.reader: quotes, lone CR line ends,
+    NUL bytes (numpy drops them from the end of a target cell), cells over
+    csv's field limit, and "today" / "now" dates; a missing_token that
+    float() parses would be read as a number, and a column read twice (a
+    schema column that is also the target) would need two dtypes. The checks after it rule out
+    blank lines (numpy skips them), targets other than exactly 0 or 1 (numpy
+    keeps the cell's spaces) and NaT dates. A blank or garbage number, a
+    ragged row or a bad date makes numpy raise ValueError.
+    """
+    try:
+        float(missing_token)
+        return None
+    except ValueError:
+        pass
+    body = data.find(b"\n") + 1
+    if not body or b'"' in data or b"\x00" in data or len(set(keep)) < len(keep):
+        return None
+    # "today" and "now" (numpy reads them in any case) both hold an "o",
+    # which no number does
+    if has_date and (data.find(b"o", body) >= 0 or data.find(b"O", body) >= 0):
+        return None
+    octets = np.frombuffer(data, dtype=np.uint8)
+    line_ends, n_cr = [], 0
+    for start in range(0, len(octets), SCAN_BYTES):
+        block = octets[start:start + SCAN_BYTES]
+        line_ends.append(np.flatnonzero(block == 10) + start)
+        n_cr += np.count_nonzero(block == 13)
+    line_ends = np.concatenate(line_ends)
+    if n_cr != np.count_nonzero(octets[line_ends[line_ends > 0] - 1] == 13):
+        return None  # a CR that ends a line alone
+    lines = len(line_ends) - 1 + (data[-1] != 10)
+    longest = np.diff(line_ends, prepend=-1, append=len(data)).max() - 1
+    if longest > csv.field_size_limit():
+        return None
+
+    n_features = len(parsed)
+    kinds = ["f8"] * n_features + (["S2"] if has_target else []) + (["M8[D]"] if has_date else [])
+    by_col = dict(zip(keep, kinds))
+    # a zero-width string for every other column still counts its cells
+    dtype = np.dtype([("f%d" % i, by_col.get(i, "S0")) for i in range(width)])
+    try:
+        table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                           quotechar=None, skiprows=1, ndmin=1, encoding="utf-8")
+    except ValueError:
+        return None
+    if len(table) != lines or lines < 1:
+        return None
+    fields = ["f%d" % i for i in keep]
+    features = [Feature(name, NUMERIC, table[field].copy())
+                for name, field in zip(parsed, fields)]
+    target = np.zeros(lines, dtype=np.int64)
+    if has_target:
+        codes = table[fields[n_features]]
+        is_one = codes == b"1"
+        if not (is_one | (codes == b"0")).all():
+            return None
+        target = is_one.astype(np.int64)
+    obs_date = None
+    if has_date:
+        obs_date = table[fields[-1]].copy()
+        if np.isnat(obs_date).any():
+            return None
+    return Dataset(features, target, obs_date)
 
 
 class MeanImputer:

@@ -43,7 +43,8 @@ class NonFinite(ScorekitError):
 
 
 class MalformedCsv(ScorekitError):
-    """A CSV row has the wrong cell count, or a date cell does not parse."""
+    """A CSV row has the wrong cell count, a cell is longer than csv's field
+    limit, or a date cell does not parse to a fixed calendar day."""
 
 
 class NoMissingBin(ScorekitError):

@@ -75,7 +75,12 @@ class TestSynthSplitSelect:
          "bad.csv row 1: date '2018-02-30' does not parse"),
         ("a,default,obs_date,a\n1,0,2018-01-01,7\n",
          "bad.csv: header names column a 2 times"),
-    ], ids=["short_row", "bad_date", "duplicate_column"])
+        ("a,default,obs_date\n1,0,2018-01-01\n2,1,\n3,0,2018-01-03\n",
+         "bad.csv row 1: date '' does not parse"),
+        ("a,default,obs_date\n1,0,2018-01-01\n2,1,NaT\n", "bad.csv row 1: date 'NaT' does not parse"),
+        ("a,default,obs_date\n1,0,2018-01-01\n2,1,today\n",
+         "bad.csv row 1: date 'today' does not parse"),
+    ], ids=["short_row", "bad_date", "duplicate_column", "blank_date", "nat_date", "today"])
     def test_malformed_csv_exit_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="utf-8")
@@ -503,6 +508,23 @@ class TestPredictContract:
         code, _ = self.predict(pipeline_dir, models[0], short, "s.csv")
         assert code == 2
         assert "MalformedCsv: %s line 6: 2 cells" % short in capsys.readouterr().err
+
+    @pytest.mark.parametrize("used", [True, False], ids=["model_column", "unused_column"])
+    def test_cell_over_field_limit_exit_2(self, pipeline_dir, models, capsys, used):
+        with open(pipeline_dir / "data.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        features = load_model(models[0]).feature_names
+        column = next(i for i, name in enumerate(header)
+                      if (name in features) == used and name not in ("default", "obs_date"))
+        # a number longer than csv.reader takes: numpy alone would parse it
+        rows[4][column] = "1" + "0" * csv.field_size_limit()
+        big = pipeline_dir / "big.csv"
+        with open(big, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        code, _ = self.predict(pipeline_dir, models[0], big, "s.csv")
+        assert code == 2
+        assert ("MalformedCsv: %s line 6: field larger than field limit (%d)"
+                % (big, csv.field_size_limit())) in capsys.readouterr().err
 
     def test_blank_target_is_never_read(self, pipeline_dir, models):
         # scoring data for new applicants has no outcome yet

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorekit import data as data_module
@@ -22,6 +22,7 @@ from scorekit.data import (
     temporal_split,
     write_csv,
 )
+from scorekit.synth import make_credit_data, schema_for
 from scorekit.errors import (
     BadTarget,
     EmptyFile,
@@ -108,10 +109,26 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text", [
         "a,def,when\n1,0,2018-01-02\n2,1,2018-13-45\n",
         'a,def,when\n"1\n",0,2018-01-02\n2,1,soon\n',  # 0-based row, not line
-    ], ids=["invalid_day", "quoted_newline"])
+        "a,def,when\n1,0,2018-01-02\n2,1,\n",
+        "a,def,when\n1,0,2018-01-02\n2,1,NaT\n",
+        "a,def,when\n1,0,2018-01-02\n2,1,today\n",  # the day of the run
+        "a,def,when\n1,0,2018-01-02\n2,1,NOW\n",
+    ], ids=["invalid_day", "quoted_newline", "blank", "nat", "today", "now"])
     def test_bad_date_is_malformed(self, csv_file, text):
         with pytest.raises(MalformedCsv, match=r"data\.csv row 1: date "):
             load_csv(csv_file(text), {"a": NUMERIC}, target="def", date_col="when")
+
+    @pytest.mark.parametrize("column", ["a", "unused"])
+    def test_cell_over_field_limit_is_malformed(self, csv_file, column):
+        limit = csv.field_size_limit()
+        cells = {"a": "2", "unused": "y"}
+        cells[column] = "1" + "0" * limit  # a number, one character over the limit
+        path = csv_file("a,unused,def\n1,x,0\n%(a)s,%(unused)s,1\n" % cells)
+        with pytest.raises(MalformedCsv, match=r"data\.csv line 3: field larger than field "
+                                               r"limit \(%d\)" % limit):
+            load_csv(path, {"a": NUMERIC}, target="def")
+        at_limit = csv_file("a,def\n%s,1\n" % ("0" * (limit - 1) + "1"), "at_limit.csv")
+        assert load_csv(at_limit, {"a": NUMERIC}, target="def").feature("a").values[0] == 1.0
 
     def test_columns_parses_only_named_schema_columns(self, csv_file):
         path = csv_file("a,b,c,def\n1,x,oops,0\n2,y,,1\n")
@@ -125,8 +142,10 @@ class TestLoadCsv:
             load_csv(path, {"a": NUMERIC, "q": NUMERIC}, target="def", columns=["a"])
 
 
-def reference_load(path, schema, target, missing_token):
-    """The per-cell parse that load_csv must reproduce bit for bit."""
+def reference_load(path, schema, target, missing_token, date_col=None):
+    """The per-cell parse that load_csv must reproduce bit for bit: the
+    columns, the targets (0 when target is None) and, with date_col, the
+    dates."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     index = {name: i for i, name in enumerate(header)}
@@ -137,7 +156,10 @@ def reference_load(path, schema, target, missing_token):
             columns[name] = np.array([_parse_float(c, missing_token) for c in cells], dtype=float)
         else:
             columns[name] = [None if c == missing_token or c == "" else c for c in cells]
-    return columns, [int(r[index[target]].strip()) for r in rows]
+    targets = [0 if target is None else int(r[index[target]].strip()) for r in rows]
+    if date_col is None:
+        return columns, targets
+    return columns, targets, np.array([r[index[date_col]] for r in rows], dtype="datetime64[D]")
 
 
 GARBAGE = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
@@ -184,6 +206,154 @@ def test_load_csv_matches_per_cell_parse(tmp_path_factory, table):
             assert f.values.tobytes() == expected[f.name].tobytes()
         else:
             assert f.values.tolist() == expected[f.name]
+
+
+NUMBERS_TEXT = st.one_of(st.floats().map(repr), st.integers(-999, 999).map(str))
+DAYS = st.integers(-30000, 30000).map(lambda day: str(np.datetime64(day, "D")))
+# what can go wrong in a numeric file, one kind per draw
+DAMAGES = {
+    "odd_number": ODD_NUMBERS,
+    "garbage": GARBAGE,
+    "blank": st.just(""),
+    "token": None,  # the file's missing_token
+    "target": st.sampled_from([" 0", "1 ", "1.0", "2", "0\x00", ""]),
+    "date": st.sampled_from(["", "NaT", "today", "Now", "TODAY", " 2018-01-02",
+                             "2018-01-02 ", "2018-01-02T23:30", "2018", "2018-13-01"]),
+    "quote": None,  # a quoted cell
+    "quote_merge": None,  # quotes that join the unused and the target cell
+    "short_row": None,
+    "long_row": None,
+    "blank_line": None,  # in the middle or at the end
+    "lone_cr": None,
+}
+
+
+@st.composite
+def numeric_csv_files(draw):
+    """A numeric CSV with target and date columns, as text, with the
+    missing_token, `columns` and target_optional to load it with."""
+    token = draw(st.sampled_from(["", "NA", "-999", "nan"]))
+    n_features = draw(st.integers(1, 3))
+    header = ["x%d" % j for j in range(n_features)] + ["unused", "def", "when"]
+    n = draw(st.integers(1, 6))
+    rows = [[draw(NUMBERS_TEXT) for _ in range(n_features)]
+            + [draw(st.sampled_from(["", "u", "1"])), draw(st.sampled_from(["0", "1"])),
+               draw(DAYS)]
+            for _ in range(n)]
+    ends = ["\n"] * n
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    blank_lines = []
+    for damage in draw(st.lists(st.sampled_from(sorted(DAMAGES)), max_size=2)):
+        r = draw(st.integers(0, n - 1))
+        column = {"target": -2, "date": -1}.get(damage, draw(st.integers(0, n_features - 1)))
+        if damage == "token":
+            rows[r][column] = token
+        elif damage == "quote":
+            quoted = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][quoted] = '"%s"' % rows[r][quoted]
+        elif damage == "quote_merge":
+            rows[r][-3:-1] = ['"' + rows[r][-3], rows[r][-2] + '"']
+        elif damage == "short_row":
+            rows[r].pop()
+        elif damage == "long_row":
+            rows[r].append("9")
+        elif damage == "blank_line":
+            blank_lines.append(draw(st.integers(0, n)))
+        elif damage == "lone_cr":
+            ends[r] = "\r"
+        else:
+            rows[r][column] = draw(DAMAGES[damage])
+    lines = [",".join(row) + (e if e == "\r" else end) for row, e in zip(rows, ends)]
+    for at in sorted(blank_lines, reverse=True):
+        lines.insert(at, end)
+    text = ",".join(header) + end + "".join(lines)
+    if draw(st.booleans()):  # no final newline
+        text = text[:-len(end)] if text.endswith(end) else text
+    columns = draw(st.one_of(st.none(), st.lists(st.sampled_from(header[:n_features]))))
+    return text, token, columns, draw(st.booleans())
+
+
+def load_outcome(load):
+    """load()'s Dataset, or the type and text of what it raised."""
+    try:
+        return load()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_dataset(d, expected):
+    assert d.feature_names == expected.feature_names
+    for f, e in zip(d.features, expected.features):
+        assert (f.kind, f.values.dtype) == (e.kind, e.values.dtype)
+        assert f.values.flags.c_contiguous
+        assert f.values.tobytes() == e.values.tobytes()
+    assert d.target.dtype == expected.target.dtype
+    assert d.target.tobytes() == expected.target.tobytes()
+    assert d.obs_date.dtype == expected.obs_date.dtype
+    assert d.obs_date.tobytes() == expected.obs_date.tobytes()
+
+
+HEADER = "x0,unused,def,when"
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=numeric_csv_files())
+@example(case=(HEADER + "\r\n1.5,u,0,2018-01-02\r\n2,,1,2018-01-03\r\n", "", None, False))
+@example(case=(HEADER + "\r1.5,u,0,2018-01-02\n2,,1,2018-01-03\n", "", None, False))  # lone CR
+@example(case=(HEADER + "\n1.5,u,0,2018-01-02\r2,,1,2018-01-03", "", None, False))
+@example(case=(HEADER + "\n1.5,u,0,2018-01-02\n\n2,,1,2018-01-03\n", "", None, False))
+@example(case=(HEADER + "\r\n1.5,u,0,2018-01-02\r\n\r\n", "", None, False))
+@example(case=(HEADER + '\n"1.5",u,0,2018-01-02\n', "", None, False))
+@example(case=(HEADER + '\n1.5,"u,0",2018-01-02\n', "", None, True))  # 3 cells, not 4
+@example(case=(HEADER + "\n1.5,u,0\n", "", None, False))
+@example(case=(HEADER + "\n1.5,u,0,2018-01-02,9\n", "", None, False))
+@example(case=(HEADER + "\n-999,u,0,2018-01-02\n", "-999", None, False))
+@example(case=(HEADER + "\n1.5,u, 0,2018-01-02\n2,,1 ,2018-01-02\n", "", None, False))
+@example(case=(HEADER + "\n1.5,u,1.0,2018-01-02\n", "", None, False))
+@example(case=(HEADER + "\n1.5,u,0\x00,2018-01-02\n", "", None, False))
+@example(case=(HEADER + "\n1.5,u,0,2018-01-02\n2,u,1,\n", "", None, False))
+@example(case=(HEADER + "\n1.5,u,0,NaT\n", "", None, False))
+@example(case=(HEADER + "\n1.5,u,0,today\n", "", None, False))
+def test_numpy_reader_matches_csv_reader(tmp_path_factory, case):
+    text, token, columns, target_optional = case
+    path = tmp_path_factory.getbasetemp() / "numeric.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header = text.replace("\r", "\n").split("\n", 1)[0].split(",")
+    schema = {name: NUMERIC for name in header if name.startswith("x")}
+    kwargs = dict(target="def", date_col="when", missing_token=token, columns=columns,
+                  target_optional=target_optional)
+    got = load_outcome(lambda: load_csv(path, schema, **kwargs))
+    with mock.patch.object(data_module, "_load_numeric", return_value=None):
+        expected = load_outcome(lambda: load_csv(path, schema, **kwargs))
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert_same_dataset(got, expected)
+    values, targets, dates = reference_load(path, schema, None if target_optional else "def",
+                                            token, "when")
+    for f in got.features:
+        assert f.values.tobytes() == values[f.name].tobytes()
+    assert got.target.tolist() == targets
+    assert got.obs_date.tobytes() == dates.tobytes()
+
+
+def test_bench_shaped_file_takes_the_numpy_path(tmp_path):
+    d, _ = make_credit_data(n_rows=300, seed=1)
+    path = tmp_path / "bench.csv"
+    write_csv(d, path)  # CRLF line ends, as every file scorekit writes
+    schema = schema_for(d)
+    # a fallback to csv.reader would parse every number with _parse_float
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(data_module, "_parse_float", side_effect=AssertionError):
+        full = load_csv(path, schema, target="target", date_col="obs_date")
+        scoring = load_csv(path, schema, target="target", target_optional=True,
+                           columns=d.feature_names[3:7])
+    assert loadtxt.call_count == 2
+    assert_same_dataset(full, d)
+    assert scoring.feature_names == d.feature_names[3:7]
+    for f in scoring.features:
+        assert f.values.tobytes() == d.feature(f.name).values.tobytes()
+    assert not scoring.target.any()
 
 
 class TestDatasetInvariants:
