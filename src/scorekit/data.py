@@ -188,11 +188,11 @@ def load_csv(path, schema: dict, target: str = "target",
     target must be 0/1 for every row. With target_optional (scoring data)
     the target column is never read, present or not, and the Dataset holds
     an all-zero placeholder target. A header that names a parsed column
-    twice, a row whose cell count differs from the header's or a cell longer
-    than `csv.field_size_limit()` (both named by their line), or a date that
-    does not parse to a fixed calendar day (blank, NaT, "today" and "now"
-    included; named by its 0-based row, as BadTarget names a bad target)
-    raises MalformedCsv.
+    twice, a row whose cell count differs from the header's, a cell longer
+    than `csv.field_size_limit()` or a byte that is not UTF-8 (each named by
+    its line), or a date that does not parse to a fixed calendar day (blank,
+    NaT, "today" and "now" included; named by its 0-based row, as BadTarget
+    names a bad target) raises MalformedCsv.
 
     The file is read once. A well-formed all-numeric file is parsed by
     `_load_numeric` in numpy's C reader; every other file, and every error,
@@ -202,7 +202,7 @@ def load_csv(path, schema: dict, target: str = "target",
     parsed = [name for name in schema if columns is None or name in columns]
     data = path.read_bytes()
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-    rows = _rows(reader, path)
+    rows = _rows(reader, path, data)
     header = next(rows, None)
     if header is None:
         raise EmptyFile(str(path))
@@ -284,13 +284,23 @@ def load_csv(path, schema: dict, target: str = "target",
     return Dataset(features, target_vals, obs_date)
 
 
-def _rows(reader, path):
-    """The rows of a csv.reader; its csv.Error (a cell longer than
-    csv.field_size_limit()) becomes MalformedCsv naming the line."""
+def _rows(reader, path, data: bytes):
+    """The rows of a csv.reader over the file bytes `data`; its csv.Error (a
+    cell longer than csv.field_size_limit()) and a byte that is not UTF-8
+    become MalformedCsv naming the line."""
     try:
         yield from reader
     except csv.Error as exc:
         raise MalformedCsv("%s line %d: %s" % (path, reader.line_num, exc)) from None
+    except UnicodeDecodeError:
+        # the reader decodes in chunks, so neither its line nor the error's
+        # offset places the byte in the file: decode the whole file again
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            offset = exc.start
+        raise MalformedCsv("%s line %d: byte 0x%02x is not UTF-8"
+                           % (path, data.count(b"\n", 0, offset) + 1, data[offset])) from None
 
 
 def _load_numeric(data: bytes, width: int, keep: list, parsed: list,

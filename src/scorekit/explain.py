@@ -11,14 +11,16 @@ Partial dependence at a grid point is literally the mean of the ceteris
 paribus values of all background rows at that point; both run through the
 same substitution code so the identity holds to float roundoff.
 
-The substitutions of one explainer step (every permutation of one feature,
-every grid point of a profile, every candidate of a break-down step) go to
-the model in one `Predictor.predict_variants` call. By default that stacks
-the substituted copies into one `predict_proba` call, which relies on its
-row-wise contract: a row's score does not depend on the other rows in the
-call, so for a model that keeps it stacking changes no value. Tree models
-score the substitutions on their compiled trees instead, matching the
-columns a step leaves alone once per row, to the same bytes.
+The substitutions of one explainer step go to the model in one
+`Predictor.predict_variants` call, as runs: one column set and many values
+for it. A permutation importance step is one run of every permutation of
+one feature, a profile one run of its grid, and a break-down step one run
+per candidate feature set. By default the model stacks the substituted
+copies into one `predict_proba` call, which relies on its row-wise
+contract: a row's score does not depend on the other rows in the call, so
+for a model that keeps it stacking changes no value. Tree models score the
+runs on their compiled trees instead, matching the columns a run leaves
+alone once per row, to the same bytes.
 """
 
 from __future__ import annotations
@@ -113,11 +115,9 @@ def permutation_importance(model, X, y, n_repeats: int = 10, seed: int = 0,
     drops = np.empty((len(names), n_repeats))
     for i, name in enumerate(names):
         j = _feature_index(model, name)
-        shuffled = [
-            (j, X[np.random.default_rng((seed, j, r)).permutation(X.shape[0]), j])
-            for r in range(n_repeats)
-        ]
-        for r, preds in enumerate(model.predict_variants(X, shuffled)):
+        perms = np.array([X[np.random.default_rng((seed, j, r)).permutation(X.shape[0]), j]
+                          for r in range(n_repeats)])
+        for r, preds in enumerate(model.predict_variants(X, [([j], perms[:, :, None])])):
             drops[i, r] = baseline - auc(preds, y)
     return PfiResult(baseline_auc=baseline, features=names, drops=drops,
                      n_repeats=n_repeats, seed=seed)
@@ -143,14 +143,15 @@ class PdpProfile:
         }
 
 
-def _profile_matrix(model, X, j: int, grid: np.ndarray) -> np.ndarray:
-    """Predictions of every background row at every grid value of column j.
+def _profile_matrix(model, X, columns: list[int], grid: np.ndarray) -> np.ndarray:
+    """Predictions of every background row at every grid point of `columns`.
 
-    Returns (n_rows, n_grid) in C order; column g is the model on X with
-    feature j forced to grid[g]. Callers reduce it with `.mean(axis=0)`,
-    whose summation order depends on this layout, so the layout is kept.
+    grid is (n_grid, len(columns)). Returns (n_rows, n_grid) in C order;
+    column g is the model on X with `columns` forced to grid[g]. Callers
+    reduce it with `.mean(axis=0)`, whose summation order depends on this
+    layout, so the layout is kept.
     """
-    preds = model.predict_variants(X, [(j, z) for z in grid])
+    preds = model.predict_variants(X, [(columns, grid[:, None, :])])
     return np.ascontiguousarray(preds.T)
 
 
@@ -161,7 +162,7 @@ def partial_dependence(model, X, feature: str,
     X = np.asarray(X, dtype=float)
     j = _feature_index(model, feature)
     grid = _grid_from_spec(X[:, j], grid_spec)
-    profile = _profile_matrix(model, X, j, grid)
+    profile = _profile_matrix(model, X, [j], grid[:, None])
     return PdpProfile(feature=feature, grid=grid,
                       mean_prediction=profile.mean(axis=0),
                       n_background=X.shape[0])
@@ -198,9 +199,8 @@ def partial_dependence_2d(model, X, feature_a: str, feature_b: str,
     grid_b = _grid_from_spec(X[:, jb], grid_spec)
     surface = np.empty((len(grid_a), len(grid_b)))
     for ga, za in enumerate(grid_a):
-        Xa = X.copy()
-        Xa[:, ja] = za
-        surface[ga] = _profile_matrix(model, Xa, jb, grid_b).mean(axis=0)
+        pairs = np.column_stack([np.full(len(grid_b), za), grid_b])
+        surface[ga] = _profile_matrix(model, X, [ja, jb], pairs).mean(axis=0)
     return PdpSurface(features=(feature_a, feature_b), grids=(grid_a, grid_b),
                       mean_prediction=surface, n_background=X.shape[0])
 
@@ -256,9 +256,7 @@ def ceteris_paribus(model, instance, feature: str,
         grid = _grid_from_spec(instance[[j]], grid_spec)
     grid = np.unique(np.append(grid, instance[j]))
 
-    rows = np.tile(instance, (len(grid), 1))
-    rows[:, j] = grid
-    prediction = model.predict_proba(rows)
+    prediction = _profile_matrix(model, instance[None], [j], grid[:, None])[0]
     anchor = float(model.predict_proba(instance.reshape(1, -1))[0])
     return CpProfile(instance_id=instance_id, feature=feature, grid=grid,
                      prediction=prediction, anchor_value=float(instance[j]),
@@ -317,7 +315,8 @@ def break_down(model, background, instance, ordering="greedy") -> BreakDownResul
     def values_of(subsets: list[list[int]]) -> list[float]:
         """v(S) for every S, in one stacked step; v(all features) is final."""
         partial = [S for S in subsets if len(S) < p]
-        preds = model.predict_variants(background, [(S, instance[S]) for S in partial])
+        preds = model.predict_variants(background,
+                                       [(S, instance[S][None, None]) for S in partial])
         means = iter([float(np.mean(row)) for row in preds])
         return [final if len(S) == p else next(means) for S in subsets]
 

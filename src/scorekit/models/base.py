@@ -4,8 +4,9 @@ Every model exposes `predict_proba` over a float matrix aligned to its
 `feature_names`, and `score_dataset` which pulls exactly those columns
 out of a Dataset by name (extra columns are ignored). This shared seam
 is what makes the explainers model-agnostic. `predict_variants` scores
-many column substitutions of one matrix at once, the explainers' unit of
-work; by default it stacks them into `predict_proba` calls.
+runs of column substitutions of one matrix at once, each run one column
+set and many values for it, the explainers' unit of work; by default it
+stacks them into `predict_proba` calls.
 """
 
 from __future__ import annotations
@@ -39,15 +40,18 @@ class Predictor:
         """
         raise NotImplementedError
 
-    def predict_variants(self, X, variants) -> np.ndarray:
-        """Predictions of X under each of a list of column substitutions.
+    def predict_variants(self, X, runs) -> np.ndarray:
+        """Predictions of X under runs of column substitutions.
 
-        Variant k is a (columns, values) pair: a copy of X with
-        `copy[:, columns] = values`. Returns (len(variants), n_rows); row k
-        holds the predictions for variant k, the bytes predict_proba gives
-        on that copy. Variants are tiled into stacked matrices of at most
-        PREDICT_CELLS cells, one predict_proba call each.
+        A run is (columns, values): a list of column indices and an array of
+        shape (variants, 1 or rows, len(columns)), whose variant v is a copy
+        of X with `copy[:, columns] = values[v]`; a column named twice takes
+        its last value. Returns (variants of all runs, n_rows); row k holds
+        the predictions for the k-th variant, the runs in turn, the bytes
+        predict_proba gives on that copy. Variants are tiled into stacked
+        matrices of at most PREDICT_CELLS cells, one predict_proba call each.
         """
+        variants = [(columns, v) for columns, values in runs for v in values]
         n, p = X.shape
         per_call = max(1, PREDICT_CELLS // max(1, n * p))
         out = np.empty((len(variants), n))
@@ -56,7 +60,8 @@ class Predictor:
             stacked = np.empty((len(chunk), n, p))
             stacked[:] = X
             for block, (columns, values) in zip(stacked, chunk):
-                block[:, columns] = values
+                for i, j in enumerate(columns):  # in order: the last value wins
+                    block[:, j] = values[:, i]
             out[start:start + len(chunk)] = \
                 self.predict_proba(stacked.reshape(-1, p)).reshape(len(chunk), n)
         return out

@@ -60,9 +60,6 @@ class BoostedModel(TreeModel):
     def link(self, raw: np.ndarray) -> np.ndarray:
         return sigmoid(raw)
 
-    def decision_function(self, X) -> np.ndarray:
-        return self.scorer.score(self._as_matrix(X), *self.offset)
-
 
 def _subsample_rows(rng, n, fraction):
     if fraction >= 1.0:

@@ -16,9 +16,9 @@ class ForestModel(TreeModel):
     plus each tree's leaf value in tree order, divided by the tree count.
     Soft voting keeps scores graded enough for rank metrics.
 
-    The forest is scored by its `TreeScorer`, through the bit-vector form of
-    its trees when that fits the table budget, else by walking them; the
-    compiled form lives only in memory.
+    The forest is scored through the bit-vector form of its trees when that
+    fits the table budget, else by walking them; the compiled form lives
+    only in memory.
     """
 
     model_kind = "forest"

@@ -25,22 +25,21 @@ A tree is a `Tree` of parallel node arrays in preorder, left child first;
 a model file holds each tree as exactly these arrays. `tree_leaves` is the
 one walk over a tree; prediction reads the leaf values it finds.
 
-Every tree model (single tree, forest, boosted) scores through one
-`TreeScorer`: a base plus rate * leaf value, added tree by tree in model
-order. It uses the trees' `BitVectorTrees` form, compiled at the first
-score: the multi-word QuickScorer form, W = ceil(leaves / 64) 64-bit mask
-words a tree (one narrower word up to 64 leaves), with the trees cut into
-consecutive groups whose tables fit TABLE_BYTES. It routes every row as
-the walk does, to the same bits. A model whose tables would not fit at any
-group size is not compiled and walks its trees instead. Compiled forms
-live only in memory and never reach the model file.
+Every tree model (single tree, forest, boosted) is a `TreeModel`: a base
+plus rate * leaf value, added tree by tree in model order. It scores
+through the trees' `BitVectorTrees` form, compiled at the first score: the
+multi-word QuickScorer form, W = ceil(leaves / 64) 64-bit mask words a tree
+(one narrower word up to 64 leaves), with the trees cut into consecutive
+groups whose tables fit TABLE_BYTES. It routes every row as the walk does,
+to the same bits. A model whose tables would not fit at any group size is
+not compiled and walks its trees instead. Compiled forms live only in
+memory and never reach the model file.
 
-`TreeScorer` also scores variants, copies of X with some columns
-substituted, as the explainers make them: a row's mask is an AND over
-features, so the features a run of variants leaves alone are matched once
-per row and only the substituted values once per variant. `TreeModel`
-gives the three tree models their one predict_proba and predict_variants,
-each model only its base, rate and link.
+The compiled form also scores the explainers' runs of substitutions, each
+one column set and many values for it, as they come: a row's mask is an
+AND over features, so the features a run leaves alone are matched once per
+row and only the substituted values once per variant. Each tree model
+gives only its base, rate and link.
 """
 
 from __future__ import annotations
@@ -559,14 +558,15 @@ class BitVectorTrees:
         variant of every run in turn, each as `score` gives it on the
         substituted copy of X.
 
-        A run is (columns, values): variant v of it sets the distinct
-        columns `columns` of X to values[v], an array of shape (1 or rows,
-        len(columns)) whose one row is broadcast over X. Per block of rows
-        of X, every feature is searched once per row, and per group of
-        trees each run ANDs the tables of the features it leaves alone once
-        per row. The substituted values are searched once per variant and
-        value and ANDed into that, in blocks of variants, of any runs, of at
-        most SCORE_CELLS mask bytes.
+        A run is (columns, values): variant v of it sets the columns
+        `columns` of X to values[v], an array of shape (1 or rows,
+        len(columns)) whose one row is broadcast over X; a column named
+        twice takes its last value. Per block of rows of X, every feature is
+        searched once per row, and per group of trees each run ANDs the
+        tables of the features it leaves alone once per row. The substituted
+        values are searched once per variant and value and ANDed into that,
+        in blocks of variants, of any runs, of at most SCORE_CELLS mask
+        bytes.
 
         searchsorted(side="left") counts the thresholds strictly below x, so
         x == t passes a test and NaN, sorted last, fails every one: the `<=`
@@ -616,10 +616,12 @@ class BitVectorTrees:
                         if mask is None:
                             mask = np.empty((hi - lo, rows, width), self.dtype)
                         a, b = max(lo, firsts[r]), min(hi, ends[r])
-                        part = mask[a - lo:b - lo]  # (variants, rows, width)
-                        part[...] = kept
+                        # the substituted tables' AND, (variants, 1 or rows,
+                        # width), is made before it broadcasts over the rows
+                        sub = self.dtype(np.iinfo(self.dtype).max)
                         for at, table in changed:
-                            part &= table.take(at[a - firsts[r]:b - firsts[r]], axis=0)
+                            sub = table.take(at[a - firsts[r]:b - firsts[r]], axis=0) & sub
+                        np.bitwise_and(kept, sub, out=mask[a - lo:b - lo])
                     total = acc[lo:hi].reshape(-1)  # a view: acc is C-ordered
                     for tree_values, leaf in zip(group_values,
                                                  self._exit_leaves(mask.reshape(-1, width))):
@@ -770,68 +772,26 @@ def compile_trees(trees: list[Tree]) -> BitVectorTrees | None:
                           dtype)
 
 
-class TreeScorer:
-    """The one scorer of every tree model: base + rate * v_0 + rate * v_1 +
-    ... per row, added in tree order, where v_t is the leaf value trees[t]
-    routes the row to.
+class TreeModel(Predictor):
+    """A model of trees: its probability is link(base + rate * v_0 + rate *
+    v_1 + ...), added in tree order, where v_t is the leaf value trees[t]
+    routes the row to and base and rate come from `offset`.
 
     It scores through `bit_trees`, the compiled form of the trees, or walks
     them one by one when that is None, to the same bits. The form is
     compiled at the first score, not when the model is built, so that a
     model file's parsed document is freed before the tables are made; it
-    lives in memory only.
-    """
-
-    def __init__(self, trees: list[Tree]):
-        self.trees = trees
-
-    @functools.cached_property
-    def bit_trees(self) -> BitVectorTrees | None:
-        return compile_trees(self.trees)
-
-    def score(self, X, base: float, rate: float) -> np.ndarray:
-        if self.bit_trees is not None:
-            return self.bit_trees.score(X, base, rate)
-        out = np.full(X.shape[0], base)
-        for tree in self.trees:
-            out += rate * predict_tree(tree, X)
-        return out
-
-    def score_variants(self, X, variants, base: float, rate: float) -> np.ndarray:
-        """(len(variants), rows): row k is `score` of X under variant k, a
-        (columns, values) pair standing for a copy of X with
-        `copy[:, columns] = values`, on the compiled form (which must not
-        be None). Consecutive variants of the same columns and shape of
-        values make one run of BitVectorTrees.score_runs, their values one
-        row when the same for every row of X (a grid point), else one per
-        row (a permutation)."""
-        n, p = X.shape
-        runs = []
-        variants = ((np.arange(p)[columns], np.asarray(values, dtype=float))
-                    for columns, values in variants)
-        for (key, shape), run in itertools.groupby(
-                variants, key=lambda v: (np.atleast_1d(v[0]).tolist(), v[1].shape)):
-            run = list(run)
-            target = (len(run), n) + run[0][0].shape  # the copies' [:, columns]
-            values = np.array([v for _, v in run])
-            values = np.broadcast_to(
-                values.reshape((len(run),) + (1,) * (len(target) - 1 - len(shape)) + shape),
-                target).reshape(len(run), n, len(key))
-            runs.append((key, values if n > 1 and values.strides[1] else values[:, :1]))
-        return self.bit_trees.score_runs(X, runs, base, rate)
-
-
-class TreeModel(Predictor):
-    """A model of trees scored by one TreeScorer: its probability is
-    link(base + rate * v_0 + rate * v_1 + ...), with base and rate from
-    `offset`. predict_proba and predict_variants share both; the latter
-    scores on the compiled trees, or stacks (the default) when they walk.
+    lives in memory only. predict_variants hands its runs to the compiled
+    form, or stacks them (the default) when the trees walk.
     """
 
     def __init__(self, trees: list[Tree], feature_names):
         super().__init__(feature_names)
         self.trees: list[Tree] = list(trees)
-        self.scorer = TreeScorer(self.trees)
+
+    @functools.cached_property
+    def bit_trees(self) -> BitVectorTrees | None:
+        return compile_trees(self.trees)
 
     @property
     def offset(self) -> tuple[float, float]:
@@ -841,13 +801,23 @@ class TreeModel(Predictor):
     def link(self, raw: np.ndarray) -> np.ndarray:
         return raw
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.link(self.scorer.score(self._as_matrix(X), *self.offset))
+    def decision_function(self, X) -> np.ndarray:
+        X = self._as_matrix(X)
+        base, rate = self.offset
+        if self.bit_trees is not None:
+            return self.bit_trees.score(X, base, rate)
+        out = np.full(X.shape[0], base)
+        for tree in self.trees:
+            out += rate * predict_tree(tree, X)
+        return out
 
-    def predict_variants(self, X, variants) -> np.ndarray:
-        if self.scorer.bit_trees is None:
-            return super().predict_variants(X, variants)
-        return self.link(self.scorer.score_variants(self._as_matrix(X), variants, *self.offset))
+    def predict_proba(self, X) -> np.ndarray:
+        return self.link(self.decision_function(X))
+
+    def predict_variants(self, X, runs) -> np.ndarray:
+        if self.bit_trees is None:
+            return super().predict_variants(X, runs)
+        return self.link(self.bit_trees.score_runs(self._as_matrix(X), runs, *self.offset))
 
 
 class DecisionTree(TreeModel):

@@ -237,11 +237,11 @@ def test_decision_function_matches_per_tree_walk(case):
     widest = max((int((t.left < 0).sum()) for t in model.trees), default=1)
     # trees this small fit the table budget in one group, so none walks;
     # wider trees take more 64-bit words, at most 64 leaves the narrowest word
-    assert model.scorer.bit_trees is not None and model.scorer.bit_trees.nbytes <= tree_module.TABLE_BYTES
-    assert len(model.scorer.bit_trees.groups) == (1 if model.trees else 0)
-    assert model.scorer.bit_trees.words == -(-widest // 64)
+    assert model.bit_trees is not None and model.bit_trees.nbytes <= tree_module.TABLE_BYTES
+    assert len(model.bit_trees.groups) == (1 if model.trees else 0)
+    assert model.bit_trees.words == -(-widest // 64)
     if widest <= 64:
-        bits = np.iinfo(model.scorer.bit_trees.dtype).bits
+        bits = np.iinfo(model.bit_trees.dtype).bits
         assert widest <= bits and (bits == 8 or widest > bits // 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "SCORE_CELLS", cells)  # blocks of a few rows
@@ -255,5 +255,5 @@ def test_zero_tree_and_trained_models_match_per_tree_walk(rng):
     for model in (train_gbm(X, y, n_trees=0), train_xgb(X, y, n_trees=0),
                   train_gbm(X, y, n_trees=15, subsample=0.8),
                   train_xgb(X, y, n_trees=15, max_depth=5, colsample=0.5)):
-        assert model.scorer.bit_trees is not None
+        assert model.bit_trees is not None
         assert model.decision_function(Q).tobytes() == reference_decision(model, Q).tobytes()

@@ -509,6 +509,18 @@ class TestPredictContract:
         assert code == 2
         assert "MalformedCsv: %s line 6: 2 cells" % short in capsys.readouterr().err
 
+    def test_byte_not_utf8_exit_2(self, pipeline_dir, models, capsys):
+        lines = (pipeline_dir / "data.csv").read_bytes().splitlines(keepends=True)
+        # past the first chunk the csv reader decodes, where its line count is off
+        assert sum(map(len, lines[:299])) > 8192
+        lines[299] = lines[299].replace(b",", b"\xe9,", 1)
+        latin = pipeline_dir / "latin.csv"
+        latin.write_bytes(b"".join(lines))
+        code, _ = self.predict(pipeline_dir, models[0], latin, "s.csv")
+        assert code == 2
+        assert ("MalformedCsv: %s line 300: byte 0xe9 is not UTF-8" % latin
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("used", [True, False], ids=["model_column", "unused_column"])
     def test_cell_over_field_limit_exit_2(self, pipeline_dir, models, capsys, used):
         with open(pipeline_dir / "data.csv", newline="", encoding="utf-8") as fh:
@@ -715,6 +727,14 @@ PINNED_SHA256 = {
             "4230b3a632e5b52a76387d163424b78618eb13eac338e7e37b8f442e593f63b7",
         "explain_pdp_inf_01.json":
             "ee3d4095f36fbbc257117e155784980c436049849a1cf8470ef499aa1670c4f8",
+        "explain_pdp2_gbm_inf_01_inf_03.json":
+            "d5b03e4516fa8b9d0605e1028232ecdc128d50b6705d6dd129597d99f60fea1d",
+        "explain_pdp2_forest_inf_01_inf_03.json":
+            "2a0f894b3ba354796482421291c7302cedd2aa8a050acb6f02fcd7875bed7eee",
+        "explain_cp_gbm_inf_01_3.json":
+            "fb6c4572e8fba27f12a146b48cea7f659c6a388ae707d2fa81b5c1ea3631c5be",
+        "explain_cp_forest_inf_01_3.json":
+            "2d909d0fba4d4273053d2fba50b51c37fd12d604e1464c2066bae70c74bf6aa8",
     },
     2: {
         "model_tree.json":
@@ -741,6 +761,14 @@ PINNED_SHA256 = {
             "bbfb1036b1b86205632a862f9f1bc1781514b671d2dfba371499b27923289a7a",
         "explain_pdp_inf_01.json":
             "300178f2dfdaa3589297e9f9a3c12b83cde8d3f763fe409d30ceb211a023a6b1",
+        "explain_pdp2_gbm_inf_01_inf_03.json":
+            "19cb27969355bb7f68daf1fcc72d54c0eabf6086ab1af7e56f3a986c184254e1",
+        "explain_pdp2_forest_inf_01_inf_03.json":
+            "4984907f00990077acc4a7b62801260c006703d8c318f44c11ba41c9715a71e2",
+        "explain_cp_gbm_inf_01_3.json":
+            "ce47ece7ebf4b80e93399fa3a5e0b2ae8a05024412a25a7ac5279a1d9feea26a",
+        "explain_cp_forest_inf_01_3.json":
+            "b9a1cab8ac060a34d77d61cb3148e9add053be17a98c000eccd1c68a4fefaa20",
     },
     3: {
         "model_tree.json":
@@ -767,6 +795,14 @@ PINNED_SHA256 = {
             "159543e9779b9698d5064098290c6cce6142dfae60e9368753372701364223d2",
         "explain_pdp_inf_01.json":
             "891eb4b6b53a3032fdad951e17b6faee313b2bde68f2e5f169b9fd27d48be4e0",
+        "explain_pdp2_gbm_inf_01_inf_03.json":
+            "cedd2ea58c488722030e1260e682831cf54b17bc1c4725feade027dfccf391a8",
+        "explain_pdp2_forest_inf_01_inf_03.json":
+            "72f0a71459cca2b07496a716bf4fd83f441f0c4e3a779be2e7578ac535e24919",
+        "explain_cp_gbm_inf_01_3.json":
+            "69c7e1cf7926988c60a55ba719f60cad9b5c45d44f129a61e1b581309a7aab81",
+        "explain_cp_forest_inf_01_3.json":
+            "4a309e6d81c74ef34c854ba7c5812548b3ff6bf4a1beb98dd99aa240fd7f260f",
     },
 }
 
@@ -858,6 +894,12 @@ def test_tree_family_artifacts_pinned(tmp_path, small_config, seed):
                    "--config", cfg, "--out", out) == 0
     assert run("explain", "--what", "pdp", "--feature", "inf_01", "--model", *boosted,
                "--config", cfg, "--out", out) == 0
+    # the 2-D pdp and cp substitution runs, on a compiled forest and a boosted model
+    for model in (out / "model_gbm.json", out / "model_forest.json"):
+        assert run("explain", "--what", "pdp", "--feature", "inf_01", "--feature2", "inf_03",
+                   "--model", model, "--config", cfg, "--out", out) == 0
+        assert run("explain", "--what", "cp", "--feature", "inf_01", "--instance", 3,
+                   "--model", model, "--config", cfg, "--out", out) == 0
     digests = {name: hashlib.sha256(v1_model_bytes(out / name) if name.startswith("model_")
                                     else (out / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256[seed]}

@@ -118,6 +118,12 @@ class TestLoadCsv:
         with pytest.raises(MalformedCsv, match=r"data\.csv row 1: date "):
             load_csv(csv_file(text), {"a": NUMERIC}, target="def", date_col="when")
 
+    def test_byte_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,def\n1,0\n2,1\ncaf\xe9,0\n3,1\n")  # a Latin-1 e-acute
+        with pytest.raises(MalformedCsv, match=r"data\.csv line 4: byte 0xe9 is not UTF-8"):
+            load_csv(path, {"a": NUMERIC}, target="def")
+
     @pytest.mark.parametrize("column", ["a", "unused"])
     def test_cell_over_field_limit_is_malformed(self, csv_file, column):
         limit = csv.field_size_limit()

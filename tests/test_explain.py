@@ -154,6 +154,11 @@ def test_batched_equals_one_call_per_substitution(six_families, monkeypatch, bud
         surface = partial_dependence_2d(model, X, "b", "c", grid_spec=5)
         assert np.array_equal(surface.mean_prediction,
                               naive_pdp_2d(model, X, 1, 2, *surface.grids))
+        # a feature against itself: the run names its column twice, and the
+        # second value wins, as the second assignment does
+        surface = partial_dependence_2d(model, X, "b", "b", grid_spec=5)
+        assert np.array_equal(surface.mean_prediction,
+                              naive_pdp_2d(model, X, 1, 1, *surface.grids))
 
         # cp was one call before batching too; on a one-row background the
         # stacked pdp builds the same matrix

@@ -89,9 +89,9 @@ def test_predict_is_row_wise(rng, monkeypatch, family, budget):
              else train_tree(X, y))
     trees = model.trees if family == "forest" else [model.tree]
     if budget is None:
-        assert model.scorer.bit_trees.words > 1  # trees of more than 64 leaves
+        assert model.bit_trees.words > 1  # trees of more than 64 leaves
     else:
-        assert model.scorer.bit_trees is None
+        assert model.bit_trees is None
     internal = trees[0].left >= 0
     at_threshold = [trees[0].threshold[internal & (trees[0].feature == j)][:1] for j in range(4)]
     Q = np.vstack([X[:50], [[np.nan, np.inf, -np.inf, 0.0]],

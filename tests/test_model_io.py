@@ -154,13 +154,13 @@ def test_save_load_predict_byte_identical(tmp_path_factory, case):
     save_model(model, path)
     clone = load_model(path)
     # query cells: NaN, +-inf, grid values and every split point of the model
-    splits = ([t.threshold[t.left >= 0] for t in trees_of(model)] if hasattr(clone, "scorer")
+    splits = ([t.threshold[t.left >= 0] for t in trees_of(model)] if hasattr(clone, "trees")
               else [t.spec.cut_points for t in getattr(model, "tables", {}).values()])
     cells = np.concatenate([[np.nan, np.inf, -np.inf, 0.25], GRID] + splits)
     Q = rng.choice(cells, size=(m, X.shape[1]))
     with np.errstate(invalid="ignore"):  # logistic: 0 * inf
         assert clone.predict_proba(Q).tobytes() == model.predict_proba(Q).tobytes()
-    if hasattr(clone, "scorer"):
+    if hasattr(clone, "trees"):
         for got, want in zip(trees_of(clone), trees_of(model), strict=True):
             for name in TREE_ARRAYS:
                 assert getattr(got, name).dtype == getattr(want, name).dtype, name

@@ -332,7 +332,7 @@ def test_shared_scorer_matches_per_tree_walk(case):
         mp.setattr(tree_module, "TABLE_BYTES", budget)  # groups split, or the walk
         mp.setattr(tree_module, "SCORE_CELLS", cells)  # blocks of a few rows
         model = make_model(kind, trees, p)
-        compiled = model.scorer.bit_trees
+        compiled = model.bit_trees
         # the walk stands in exactly when no group size fits the budget, and
         # otherwise the groups are as large as fit
         fits = [size for size in range(1, len(trees) + 1) if layout_bytes(trees, size) <= budget]
@@ -348,38 +348,39 @@ def test_shared_scorer_matches_per_tree_walk(case):
 @st.composite
 def variant_cases(draw):
     """A tree, forest, gbm or xgb model of random trees (some of more than 64
-    leaves), rows of NaN, +-inf and threshold values, and runs of variants:
-    constant and per-row values, one or several columns, runs of one column
-    set and runs of different ones, as the explainers make them."""
+    leaves), rows of NaN, +-inf and threshold values, and runs of
+    substitutions as the explainers make them: constant and per-row values,
+    one or several columns, columns no tree splits on, and column sets that
+    repeat across runs."""
     kind = draw(st.sampled_from(["tree", "forest", "gbm", "xgb"]))
-    p = draw(st.integers(1, 4))
+    split_on = draw(st.integers(1, 4))
+    p = split_on + draw(st.integers(0, 2))  # trailing features no tree splits on
     leaves = st.one_of(st.integers(1, 12), st.sampled_from([64, 65, 130]))
     n_trees = 1 if kind == "tree" else draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    trees = [grid_tree(rng, draw(leaves), p) for _ in range(n_trees)]
+    trees = [grid_tree(rng, draw(leaves), split_on) for _ in range(n_trees)]
     cells = np.array([np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID)
     n = draw(st.sampled_from([0, 1, 1, 2, 9, 40]))
     X = rng.choice(cells, size=(n, p))
-    variants = []
+    runs = []
     for _ in range(draw(st.integers(0, 4))):
-        if draw(st.booleans()):
-            columns = draw(st.integers(0, p - 1))
+        if runs and draw(st.booleans()):
+            columns = draw(st.sampled_from([columns for columns, _ in runs]))
         else:
             columns = draw(st.permutations(range(p)))[:draw(st.integers(1, p))]
-        for _ in range(draw(st.integers(1, 4))):
-            per_row = draw(st.booleans())
-            shape = ((n,) if per_row else ()) + np.shape(columns)
-            variants.append((columns, rng.choice(cells, size=shape)))
+        rows = n if draw(st.booleans()) else 1  # per-row values, or one row for all
+        runs.append((columns, rng.choice(cells, size=(draw(st.integers(1, 4)), rows,
+                                                      len(columns)))))
     factor = draw(st.sampled_from([0, 1.0, 2.5, None]))
     budget = (tree_module.TABLE_BYTES if factor is None
               else int(factor * smallest_layout_bytes(trees)))
-    return kind, trees, X, variants, budget, draw(st.sampled_from([1, 7, 64, 300]))
+    return kind, trees, X, runs, budget, draw(st.sampled_from([1, 7, 64, 300]))
 
 
 @settings(deadline=None, max_examples=150)
 @given(case=variant_cases())
 def test_predict_variants_matches_stacked_predict_proba(case):
-    kind, trees, X, variants, budget, cells = case
+    kind, trees, X, runs, budget, cells = case
     names = ["x%d" % j for j in range(X.shape[1])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "TABLE_BYTES", budget)  # groups split, or the walk
@@ -390,10 +391,10 @@ def test_predict_variants_matches_stacked_predict_proba(case):
             model = ForestModel(trees, names, mtry=1, seed=0)
         else:
             model = BoostedModel(0.25, trees, 0.3, names, variant=kind)
-        scores = model.predict_variants(X, variants)
-        assert (model.scorer.bit_trees is None) == (budget < smallest_layout_bytes(trees))
-    assert scores.shape == (len(variants), X.shape[0])
-    assert scores.tobytes() == Predictor.predict_variants(model, X, variants).tobytes()
+        scores = model.predict_variants(X, runs)
+        assert (model.bit_trees is None) == (budget < smallest_layout_bytes(trees))
+    assert scores.shape == (sum(len(values) for _, values in runs), X.shape[0])
+    assert scores.tobytes() == Predictor.predict_variants(model, X, runs).tobytes()
 
 
 def test_over_budget_forest_walks_to_the_same_bytes():
@@ -404,22 +405,21 @@ def test_over_budget_forest_walks_to_the_same_bytes():
     X = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID), size=(300, 3))
     forest = make_model("forest", trees, 3)
     assert smallest_layout_bytes(trees) > tree_module.TABLE_BYTES
-    assert forest.scorer.bit_trees is None
+    assert forest.bit_trees is None
     assert forest.predict_proba(X).tobytes() == reference_score("forest", trees, X).tobytes()
     # under any budget the tables stay within it, or the model walks
     sizes = set()
     for budget in [2 ** k for k in range(16, 26)]:
-        scorer = tree_module.TreeScorer(trees)
+        forest = make_model("forest", trees, 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tree_module, "TABLE_BYTES", budget)
-            compiled = scorer.bit_trees
+            compiled = forest.bit_trees
         if compiled is None:
             assert smallest_layout_bytes(trees) > budget
             continue
         assert compiled.nbytes <= budget
         sizes.add(compiled.group_size)
-        score = scorer.score(X, 0.0, 1.0) / len(trees)
-        assert score.tobytes() == reference_score("forest", trees, X).tobytes()
+        assert forest.predict_proba(X).tobytes() == reference_score("forest", trees, X).tobytes()
     assert len(sizes) > 1  # groups of more than one size were scored
 
 
