@@ -384,6 +384,9 @@ def cmd_explain(args, config) -> int:
                            "overlays several)" % (what, len(model_paths)))
     if what in ("pdp", "cp") and not args.feature:
         raise ScorekitError("%s needs --feature" % what)
+    if what == "pdp" and args.feature2 == args.feature:
+        raise BadParameter("--feature2: a 2-D pdp needs two features, got --feature and "
+                           "--feature2 both %s" % args.feature)
     models_loaded = [(Path(p).stem.replace("model_", ""), load_model(p)) for p in model_paths]
     name, model = models_loaded[0]
     part = _load_part(out_dir, args.part,

@@ -39,10 +39,11 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
                         min_leaf=1, seed=0, feature_names=None, threads=1) -> ForestModel:
     """Fit n_trees CART trees on independent bootstrap samples.
 
-    mtry defaults to ceil(sqrt(p)). Each tree draws its bootstrap sample and
-    its mtry columns from its own RNG stream (seed, tree index), and the
-    trees grow side by side (`grow_trees`), so results do not depend on
-    thread count or scheduling order. y must be 0/1.
+    mtry defaults to ceil(sqrt(p)). Each tree draws its bootstrap sample,
+    then its mtry columns once per level, from its own RNG stream (seed,
+    tree index), and the trees grow side by side, level by level
+    (`grow_trees`), so a tree depends neither on thread count nor on the
+    trees grown beside it. y must be 0/1.
     """
     if not isinstance(n_trees, numbers.Integral) or n_trees < 1:
         raise ScorekitError("a forest needs an integer n_trees >= 1, got %r" % (n_trees,))

@@ -13,10 +13,9 @@ every boundary between distinct adjacent values, all in one batch. Ties
 go to the first candidate in (left size, column) order, as np.argmax over
 a node's (boundary, column) gains takes it, which keeps trees
 deterministic regardless of thread count and of the trees grown beside
-them. A tree that draws mtry columns (the forest's) grows depth first,
-one node per step, so that its draws keep their preorder; any other (a
-single tree, every boosting round) grows level by level, all of its open
-nodes in one search per step, and is renumbered into preorder when done.
+them. Every tree grows level by level, all of its open nodes in one search
+per step (a forest's trees draw their mtry columns once per level), and is
+renumbered into preorder when done.
 Every search of one fit reads one `RankTable` of X, built once: a boosting
 round grows on a subsample of X's rows and a subset of its columns without
 copying them.
@@ -47,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -88,12 +86,6 @@ def leaf_weight_grad(g_sum, h_sum, lam):
     if den == 0.0:
         return 0.0 if g_sum == 0.0 else math.copysign(LEAF_CLIP, -g_sum)
     return -g_sum / den
-
-
-def _leaf_value(objective, a, b, lam):
-    if objective == "grad":
-        return leaf_weight_grad(float(a.sum()), float(b.sum()), lam)
-    return float(a.mean())
 
 
 # (candidate column x row) cells of one batched split search. It bounds the
@@ -276,36 +268,58 @@ def _split_frontier(XT, ranks, a, b, sample, pos, sizes, cols, objective, min_le
 def _chunks(cells):
     """(lo, hi) runs of consecutive nodes of at most SPLIT_CELLS cells in
     all, each run holding one node at least."""
-    lo, total = 0, 0
-    for hi, c in enumerate(cells):
-        if hi > lo and total + c > SPLIT_CELLS:
-            yield lo, hi
-            lo, total = hi, 0
-        total += c
-    if lo < len(cells):
-        yield lo, len(cells)
+    ends = np.cumsum(cells)
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + SPLIT_CELLS,
+                                             "right")))
+        yield lo, hi
+        lo = hi
 
 
 NODE_ARRAYS = (("value", "d"), ("n", "q"), ("feature", "q"), ("threshold", "d"),
                ("left", "q"), ("right", "q"), ("gain", "d"))
 
 
-def _in_preorder(arrays):
-    """A tree's node arrays, numbered in growth order, renumbered into
-    preorder, left child first; and the new id of every old one."""
-    left, right = arrays["left"].tolist(), arrays["right"].tolist()
-    order, stack = [], [0]
-    while stack:
-        k = stack.pop()
-        order.append(k)
-        if left[k] >= 0:
-            stack += (right[k], left[k])
-    new_id = np.empty(len(order), dtype=np.int64)
-    new_id[order] = np.arange(len(order))
-    out = {name: arr[order] for name, arr in arrays.items()}
-    for name in ("left", "right"):
-        out[name] = np.where(out[name] >= 0, new_id[out[name]], -1)
-    return out, new_id
+def _ranges(starts, sizes):
+    """The indices starts[i] .. starts[i] + sizes[i] - 1 of every i, end to end."""
+    ends = sizes.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + sizes).repeat(sizes)
+
+
+def _in_preorder(levels, n_trees):
+    """Trees grown level by level, as `Tree`s in preorder, left child first,
+    and each node's id in its tree, in growth order. levels[d] is (tree,
+    value, n, split, feature, threshold, gain) of level d's nodes, where the
+    last three are those of the nodes `split` indexes; the i-th of them is
+    the parent of nodes 2i (left) and 2i + 1 of level d + 1."""
+    # subtree sizes bottom up, then each level's ids from its parents':
+    # left = parent + 1, right = parent + 1 + the left subtree's size
+    span = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        span[d][levels[d][3]] += span[d + 1][0::2] + span[d + 1][1::2]
+    pre = [np.zeros(len(levels[0][0]), dtype=np.int64)]
+    for d in range(len(levels) - 1):
+        first = pre[d].take(levels[d][3]) + 1
+        pre.append(np.column_stack((first, first + span[d + 1][0::2])).ravel())
+    tree_of, value, n, _, feature, threshold, gain = (
+        np.concatenate(parts) for parts in zip(*levels))
+    counts = np.bincount(tree_of, minlength=n_trees)
+    first_node = counts.cumsum() - counts
+    at = [first_node.take(level[0]) + ids for level, ids in zip(levels, pre)]
+    split_at = np.concatenate([place.take(level[3]) for level, place in zip(levels, at)])
+    kids = np.concatenate(pre[1:] + [np.empty(0, dtype=np.int64)])  # left, right per split
+    at = np.concatenate(at)
+    # a leaf's feature, left and right are -1, its threshold and gain 0
+    arrays = {name: np.full(len(at), -1 if code == "q" else 0, dtype=code)
+              for name, code in NODE_ARRAYS}
+    for name, nodes, values in (
+            ("value", at, value), ("n", at, n), ("feature", split_at, feature),
+            ("threshold", split_at, threshold), ("gain", split_at, gain),
+            ("left", split_at, kids[0::2]), ("right", split_at, kids[1::2])):
+        arrays[name][nodes] = values
+    return ([Tree(**{name: arr[lo:lo + k] for name, arr in arrays.items()})
+             for lo, k in zip(first_node.tolist(), counts.tolist())], np.concatenate(pre))
 
 
 def grow_trees(table: RankTable, a, b, roots, rngs, objective="gini", max_depth=None,
@@ -318,21 +332,21 @@ def grow_trees(table: RankTable, a, b, roots, rngs, objective="gini", max_depth=
     `a` is the target (0/1 labels for "gini", residuals, or gradients); `b`
     is the hessian column for the "grad" objective; both hold a value per
     row of X. Every node may split on the columns `cols` (ascending; all of
-    X's by default), or with `mtry` on mtry columns tree t draws from rngs[t]
-    at each node it tries to split. A node's rows are held as their
-    positions in `sample`, the roots end to end: in the split search, ties
-    break by position as they would by the row order of a node. Trees grow
-    from explicit stacks, so deep trees cannot hit the recursion limit.
+    X's by default), or with `mtry` < p on mtry columns of its own. A node's
+    rows are held as their positions in `sample`, the roots end to end: in
+    the split search, ties break by position as they would by the row order
+    of a node.
 
-    Each step searches a frontier of nodes at once. A tree with mtry draws
-    adds its next node, depth first: a node is numbered when it is taken
-    and the left child is taken right after its parent, so the numbering is
-    preorder and its draws come in preorder. Any other tree adds all of its
-    open nodes, a level at a time, and is renumbered into preorder when it
-    is done. A tree does not depend on the trees grown beside it, nor on
-    `threads`, which splits the trees into that many contiguous groups grown
-    in parallel. `leaf_of`, if given, is filled with the id of the leaf
-    every position of `sample` ends in.
+    Each step grows a level of every tree: its nodes, left to right, that
+    are not capped by max_depth, pure, or too small for two min_leaf
+    children are searched at once. Tree t draws the mtry columns of its k
+    searched nodes of a level in one call, row i of rngs[t].random((k,
+    p)).argsort(axis=1, kind="stable")[:, :mtry] for the i-th; nodes not
+    searched draw nothing. Trees are renumbered into preorder, left child
+    first, when done. A tree depends neither on the trees grown beside it
+    nor on `threads`, which splits the trees into that many contiguous
+    groups grown in parallel. `leaf_of`, if given, is filled with the id of
+    the leaf every position of `sample` ends in.
     """
     a = np.asarray(a, dtype=float)
     if b is not None:
@@ -352,85 +366,69 @@ def grow_trees(table: RankTable, a, b, roots, rngs, objective="gini", max_depth=
     offsets = np.cumsum([0] + [len(rows) for rows in roots])
     del roots  # `sample` holds them now; this frees them if the caller kept none
     width = mtry if use_mtry else len(candidates)
-    gini = objective == "gini"
     depth_cap = math.inf if max_depth is None else max_depth
 
     def grow(group):
-        # per tree: its open nodes as (positions, depth, parent or -1, whether
-        # the left child, sum of a over the rows) and its node arrays
-        stacks = [[(np.arange(offsets[t], offsets[t + 1]), 0, -1, True,
-                    float(a.take(sample[offsets[t]:offsets[t + 1]]).sum()))] for t in group]
-        nodes = [tuple(array(code) for _, code in NODE_ARRAYS) for _ in group]
-        live = list(range(len(group)))
-        while live:
-            frontier, draws = [], []
-            for t in live:
-                value, count, feature, threshold, left, right, gain = nodes[t]
-                if use_mtry:
-                    taken = [stacks[t].pop()]
-                else:
-                    taken, stacks[t] = stacks[t], []
-                for pos, depth, parent, is_left, total in taken:
-                    k = len(value)
-                    if parent >= 0:
-                        (left if is_left else right)[parent] = k
-                    if leaf_of is not None:
-                        leaf_of[pos] = k  # until its children take the rows
-                    m = len(pos)
-                    if gini:  # the mean and purity of 0/1 labels, from their exact sum
-                        value.append(total / m)
-                        pure = total == 0.0 or total == m
-                    else:  # float sums, added in the node's order
-                        pos.sort()
-                        rows = sample.take(pos)
-                        a_n = a.take(rows)
-                        value.append(_leaf_value(objective, a_n,
-                                                 None if b is None else b.take(rows), lam))
-                        pure = objective == "mse" and a_n.max() - a_n.min() == 0.0  # np.ptp
-                    count.append(m)
-                    feature.append(-1)
-                    threshold.append(0.0)
-                    left.append(-1)
-                    right.append(-1)
-                    gain.append(0.0)
-                    if depth >= depth_cap or pure:
-                        continue
-                    if use_mtry:
-                        draw = rngs[group[t]].choice(p, size=mtry, replace=False)
-                    if m < 2 * min_leaf or m < 2 or not width:
-                        continue
-                    frontier.append((t, k, pos, depth, total))
-                    if use_mtry:
-                        draws.append(draw)
-            for lo, hi in _chunks([len(f[2]) * width for f in frontier]):
-                part = frontier[lo:hi]
-                part_cols = (np.sort(np.concatenate(draws[lo:hi]).reshape(-1, mtry), axis=1)
-                             if use_mtry else candidates[None].repeat(len(part), axis=0))
-                *found, order = _split_frontier(
-                    XT, ranks, a, b, sample, np.concatenate([f[2] for f in part]),
-                    np.array([len(f[2]) for f in part]), part_cols, objective, min_leaf, lam,
-                    gamma)
-                for s, f, thr, g, j, start, mid, end, sum_left in zip(*(v.tolist() for v in found)):
-                    t, k, _, depth, total = part[s]
-                    _, _, feature, threshold, _, _, gain = nodes[t]
-                    feature[k] = f
-                    threshold[k] = thr
-                    gain[k] = g
-                    # copies: a child waiting on a stack must not hold the chunk's array
-                    stacks[t].append((order[j, mid:end].copy(), depth + 1, k, False,
-                                      total - sum_left))
-                    stacks[t].append((order[j, start:mid].copy(), depth + 1, k, True, sum_left))
-            live = [t for t in live if stacks[t]]
-        trees = []
-        for t, fields in zip(group, nodes):
-            arrays = {name: np.frombuffer(arr, dtype=arr.typecode)  # no copy
-                      for (name, _), arr in zip(NODE_ARRAYS, fields)}
-            if not use_mtry:
-                arrays, new_id = _in_preorder(arrays)
-                if leaf_of is not None:
-                    span = slice(offsets[t], offsets[t + 1])
-                    leaf_of[span] = new_id.take(leaf_of[span])
-            trees.append(Tree(**arrays))
+        # a level's nodes, tree by tree and left to right: their tree, row
+        # counts, positions end to end and sums of a
+        tree_of = np.arange(len(group))
+        sizes = np.diff(offsets[group[0]:group[-1] + 2])
+        pos = np.arange(offsets[group[0]], offsets[group[-1] + 1])
+        totals = np.add.reduceat(a.take(sample.take(pos)), sizes.cumsum() - sizes)
+        levels, grown = [], 0
+        while len(sizes):
+            starts = sizes.cumsum() - sizes
+            if objective == "gini":  # the mean and purity of 0/1 labels, from their exact sum
+                value = totals / sizes
+                searched = (totals != 0.0) & (totals != sizes)
+            else:  # float sums, added in the node's order
+                value, searched = np.empty(len(sizes)), np.ones(len(sizes), dtype=bool)
+                for i, node in enumerate(np.split(pos, starts[1:])):  # views of pos
+                    node.sort()
+                    rows = sample.take(node)
+                    a_n = a.take(rows)
+                    if objective == "grad":
+                        value[i] = leaf_weight_grad(float(a_n.sum()), float(b[rows].sum()), lam)
+                    else:
+                        value[i] = float(a_n.mean())
+                        searched[i] = a_n.max() - a_n.min() != 0.0  # np.ptp
+            if leaf_of is not None:
+                leaf_of[pos] = np.arange(grown, grown + len(sizes)).repeat(sizes)  # until split
+            grown += len(sizes)
+            searched &= (sizes >= max(2 * min_leaf, 2)) & (len(levels) < depth_cap) & (width > 0)
+            idx = np.flatnonzero(searched)
+            s_sizes = sizes.take(idx)
+            s_ends = s_sizes.cumsum()
+            s_pos = pos.take(_ranges(starts.take(idx), s_sizes))
+            if use_mtry:
+                per_tree = np.bincount(tree_of.take(idx), minlength=len(group)).tolist()
+                draws = np.concatenate([np.empty((0, p))] + [rngs[group[t]].random((k, p))
+                                                             for t, k in enumerate(per_tree) if k])
+                level_cols = np.sort(draws.argsort(axis=1, kind="stable")[:, :mtry], axis=1)
+            else:
+                level_cols = candidates[None].repeat(len(idx), axis=0)
+            found = [(np.empty(0, dtype=np.int64),) * 8]  # per chunk: splits, children's rows
+            for lo, hi in _chunks(s_sizes * width):
+                split, feature, threshold, gain, j, start, mid, end, sum_left, order = (
+                    _split_frontier(XT, ranks, a, b, sample,
+                                    s_pos[s_ends[lo] - s_sizes[lo]:s_ends[hi - 1]],
+                                    s_sizes[lo:hi], level_cols[lo:hi], objective, min_leaf, lam,
+                                    gamma))
+                # a node's left rows, then its right rows, in its column's row of order
+                kids = order.ravel().take(_ranges(j * order.shape[1] + start, end - start))
+                found.append((idx.take(lo + split), feature, threshold, gain, mid - start,
+                              end - mid, sum_left, kids))
+            parent, feature, threshold, gain, n_left, n_right, sum_left, pos = (
+                np.concatenate(parts) for parts in zip(*found))
+            levels.append((tree_of, value, sizes, parent, feature, threshold, gain))
+            tree_of = tree_of.take(parent).repeat(2)
+            sizes = np.column_stack((n_left, n_right)).ravel()
+            totals = np.column_stack((sum_left, totals.take(parent) - sum_left)).ravel()
+
+        trees, pre = _in_preorder(levels, len(group))
+        if leaf_of is not None:
+            span = slice(offsets[group[0]], offsets[group[-1] + 1])
+            leaf_of[span] = pre.take(leaf_of[span])
         return trees
 
     n_trees = len(offsets) - 1
@@ -455,7 +453,7 @@ def build_tree(
     gamma: float = 0.0,
 ) -> Tree:
     """Grow one CART tree greedily on all rows of X: `grow_trees` with a
-    single tree, level by level unless it draws mtry columns."""
+    single tree, whose mtry draws, if any, come from `rng`."""
     return grow_trees(RankTable(X), a, b, [np.arange(len(X))], [rng], objective=objective,
                       max_depth=max_depth, min_leaf=min_leaf, mtry=mtry, lam=lam,
                       gamma=gamma)[0]

@@ -292,6 +292,20 @@ class TestTrainPredictExplainReport:
         assert len(doc["mean_prediction"]) == len(doc["grid_a"])
         assert len(doc["mean_prediction"][0]) == len(doc["grid_b"])
 
+    def test_pdp_of_a_feature_with_itself_exit_2(self, pipeline_dir, capsys):
+        # the second substitution would overwrite the first: every row of
+        # the surface would repeat the 1-D pdp
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", "tree", "--config", cfg, "--out", pipeline_dir) == 0
+        capsys.readouterr()
+        assert run("explain", "--what", "pdp", "--feature", "inf_01", "--feature2", "inf_01",
+                   "--model", pipeline_dir / "model_tree.json",
+                   "--config", cfg, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: BadParameter: --feature2: a 2-D pdp needs two features, got "
+                       "--feature and --feature2 both inf_01\n")
+        assert not list(pipeline_dir.glob("explain_*"))
+
     def test_cp_of_two_models_leaves_two_files(self, pipeline_dir):
         cfg = pipeline_dir / "config.yaml"
         for family in ("logistic", "tree"):
@@ -700,13 +714,14 @@ class TestDeterminism:
 # later engine must reproduce byte for byte: selection.json and the models
 # since trees became preorder arrays, the models as the schema-1 files of
 # that time (`v1_model_bytes` of the saved model), and the boosted scores and
-# explanations since boosted models were scored as bit vectors
+# explanations since boosted models were scored as bit vectors. The forest's
+# entries date from when its trees drew their columns once per level
 PINNED_SHA256 = {
     1: {
         "model_tree.json":
             "39268c2d05a044fc326d68f6022784b9bab6bc945c951b0d3640bb469c4f3b82",
         "model_forest.json":
-            "ec725e289e8e9a307ff78abd1db1a2f18cb37efbea9ff87bae92a307e3d37bc1",
+            "68968bef70f1c09a2d21349409080cb58ac0c9f3a4bc0c8a6e248fcc1bb03b58",
         "model_gbm.json":
             "7af8c4bdcaf61cff46f31e5a8104c28162b661da6480f412c3fe747c75cb4b70",
         "model_xgb.json":
@@ -730,17 +745,17 @@ PINNED_SHA256 = {
         "explain_pdp2_gbm_inf_01_inf_03.json":
             "d5b03e4516fa8b9d0605e1028232ecdc128d50b6705d6dd129597d99f60fea1d",
         "explain_pdp2_forest_inf_01_inf_03.json":
-            "2a0f894b3ba354796482421291c7302cedd2aa8a050acb6f02fcd7875bed7eee",
+            "c9a97d64c05c8913b5ded143c8cb9e94439f37f7a5b2edaa6f9d43744838df8e",
         "explain_cp_gbm_inf_01_3.json":
             "fb6c4572e8fba27f12a146b48cea7f659c6a388ae707d2fa81b5c1ea3631c5be",
         "explain_cp_forest_inf_01_3.json":
-            "2d909d0fba4d4273053d2fba50b51c37fd12d604e1464c2066bae70c74bf6aa8",
+            "70a9e2b121fbed1bb70acf1c6f1a9c6a0496bd4503ca405e5ef23ebf1972b5ef",
     },
     2: {
         "model_tree.json":
             "a3af82fe7abcd3aa63059cd803feb64efe8b2687ea83f3570631759a64dcb488",
         "model_forest.json":
-            "7dd70439646e1c14da8078cd8327c548bca505f8612411be4022ff093634a2f1",
+            "a84d1d3ed9a38a1b22c3c8b06ecdd4aa93125514bd62cbf6b5fddeed2a7b5cde",
         "model_gbm.json":
             "b687c2786c994a811a7e90f84e3f28da8dfb93697ce9b97559200ee78e14c411",
         "model_xgb.json":
@@ -764,17 +779,17 @@ PINNED_SHA256 = {
         "explain_pdp2_gbm_inf_01_inf_03.json":
             "19cb27969355bb7f68daf1fcc72d54c0eabf6086ab1af7e56f3a986c184254e1",
         "explain_pdp2_forest_inf_01_inf_03.json":
-            "4984907f00990077acc4a7b62801260c006703d8c318f44c11ba41c9715a71e2",
+            "537ae74cebf766d5a3727c44422dd2a06d64729b98c05b56cee29eab266031fb",
         "explain_cp_gbm_inf_01_3.json":
             "ce47ece7ebf4b80e93399fa3a5e0b2ae8a05024412a25a7ac5279a1d9feea26a",
         "explain_cp_forest_inf_01_3.json":
-            "b9a1cab8ac060a34d77d61cb3148e9add053be17a98c000eccd1c68a4fefaa20",
+            "84632db7a5423a23503b4adf71c162db578070f865488f97ee389918ad3499ea",
     },
     3: {
         "model_tree.json":
             "34aba8330ee3597221b0fcd0b4ea9f3e97a63549bd3ebe56fa8430e8eca57c36",
         "model_forest.json":
-            "19250f3d48fbbe3a5f56e9a8cd44b2834de65fcf75194e7d5e770ec6e5cd381f",
+            "78903aa183293af6f0597f73b2644fb7fbb695b77d827103a8c32d5663ad58fc",
         "model_gbm.json":
             "4f82e76054f6dc56168cd9c43f2bb00fbe10c48835fc4780f12597ab5b4f9667",
         "model_xgb.json":
@@ -798,11 +813,11 @@ PINNED_SHA256 = {
         "explain_pdp2_gbm_inf_01_inf_03.json":
             "cedd2ea58c488722030e1260e682831cf54b17bc1c4725feade027dfccf391a8",
         "explain_pdp2_forest_inf_01_inf_03.json":
-            "72f0a71459cca2b07496a716bf4fd83f441f0c4e3a779be2e7578ac535e24919",
+            "45d7b3dec4ec5589160f9eb6f2eba28e8bb8f16d647321fc430b82216b0f862e",
         "explain_cp_gbm_inf_01_3.json":
             "69c7e1cf7926988c60a55ba719f60cad9b5c45d44f129a61e1b581309a7aab81",
         "explain_cp_forest_inf_01_3.json":
-            "4a309e6d81c74ef34c854ba7c5812548b3ff6bf4a1beb98dd99aa240fd7f260f",
+            "6d4eb93200773ca7e579dec79ab6cc5c1ada5fb27d076a739aa0f317358d5e8f",
     },
 }
 
@@ -813,7 +828,7 @@ PINNED_V2_SHA256 = {
         "model_tree.json":
             "0ade4d2be93553def36316fa4c4e38f5548e4bebdbfc57e03b7f8ce9563b4d80",
         "model_forest.json":
-            "11b19bd3296292bfc08c8b22094f4f0a2b16f66fafa638cd9358b3b22f57f067",
+            "8c56321fc2ec1cbb2f4f9e7c2fd11ce2edc475033d0923b482007621306ad8cc",
         "model_gbm.json":
             "c0518b9b99f6f452479b8bd813ce86ae243b436347e8a8decfb25d249795ab51",
         "model_xgb.json":
@@ -823,7 +838,7 @@ PINNED_V2_SHA256 = {
         "model_tree.json":
             "24a59e7841a340ce3a6647bf2a5c2a16f6a2242ccf3e4bdcbb0de3ba30bd4aad",
         "model_forest.json":
-            "fa67423d26dc9ce8a5e889a57a0d75490da71baf94ee521b88dd0e76cfcba7eb",
+            "ca1adb821e798a721a7dd14a0b88f1adf32529eb26e01b4355e05a6f1d97c400",
         "model_gbm.json":
             "e934e31173ab508cfaaa7c2504801ee9c6fa6eec973bbf6813192bb84f17818f",
         "model_xgb.json":
@@ -833,7 +848,7 @@ PINNED_V2_SHA256 = {
         "model_tree.json":
             "dfaf835df76565414457e20bf6f90cc947daa8bfe2cd4265c52395cd6cc6e50e",
         "model_forest.json":
-            "a68eb886a1be41936cb7e5c0f917d85047aaaa860e97ea6a07bffda6aa2e2b21",
+            "c6befa178312fabdb6395da1449c9802ef37fa44657eb31ec443acf3448b37c0",
         "model_gbm.json":
             "eb72b9816f3071ad75e1ab9ca3e36ec8a3588730421111a755a66f02f4d85ff2",
         "model_xgb.json":

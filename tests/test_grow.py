@@ -71,38 +71,58 @@ def reference_split(Xn, a, b, objective, min_leaf, lam, gamma):
 
 def reference_tree(X, a, b=None, objective="gini", max_depth=None, min_leaf=1,
                    mtry=None, rng=None, lam=0.0, gamma=0.0) -> Tree:
-    """Depth first from a stack, one node and one search at a time."""
+    """Level by level, one node and one search at a time, then put in
+    preorder. With mtry < p, the nodes of a level that are searched (not
+    capped, pure or too small) draw their columns in one call, row i of
+    rng.random((searched, p)).argsort(axis=1, kind="stable")[:, :mtry] for
+    the level's i-th searched node from the left."""
     n, p = X.shape
-    nodes = []
-    stack = [(np.arange(n), 0, None)]
-    while stack:
-        idx, depth, parent = stack.pop()
-        if parent is not None:
-            parent["right"] = len(nodes)
-        a_n = a[idx]
-        if objective == "grad":
-            value = leaf_weight_grad(float(np.sum(a_n)), float(np.sum(b[idx])), lam)
+    root = {"idx": np.arange(n)}
+    level, depth = [root], 0
+    while level:
+        searched = []
+        for node in level:
+            idx = node["idx"]
+            a_n = a[idx]
+            if objective == "grad":
+                node["value"] = leaf_weight_grad(float(np.sum(a_n)), float(np.sum(b[idx])), lam)
+            else:
+                node["value"] = float(np.mean(a_n))
+            node["n"] = len(idx)
+            if ((max_depth is None or depth < max_depth)
+                    and (objective == "grad" or np.ptp(a_n) != 0.0)
+                    and len(idx) >= max(2 * min_leaf, 2)):
+                searched.append(node)
+        if mtry is not None and mtry < p and searched:
+            draws = np.sort(rng.random((len(searched), p)).argsort(axis=1, kind="stable")[:, :mtry],
+                            axis=1)
         else:
-            value = float(np.mean(a_n))
-        node = {"value": value, "n": len(idx)}
-        nodes.append(node)
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if objective != "grad" and np.ptp(a_n) == 0.0:
-            continue
-        cols = (np.sort(rng.choice(p, size=mtry, replace=False))
-                if mtry is not None and mtry < p else np.arange(p))
-        found = reference_split(X[np.ix_(idx, cols)], a_n, None if b is None else b[idx],
-                                objective, min_leaf, lam, gamma)
-        if found is None:
-            continue
-        j, threshold, gain = found
-        node.update(feature=int(cols[j]), threshold=threshold, gain=gain,
-                    left=len(nodes), right=-1)
-        mask = X[idx, node["feature"]] <= threshold
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, None))
-    return tree_from_records(nodes)
+            draws = [np.arange(p)] * len(searched)
+        level, depth = [], depth + 1
+        for node, cols in zip(searched, draws):
+            idx = node["idx"]
+            found = reference_split(X[np.ix_(idx, cols)], a[idx], None if b is None else b[idx],
+                                    objective, min_leaf, lam, gamma)
+            if found is None:
+                continue
+            j, threshold, gain = found
+            node.update(feature=int(cols[j]), threshold=threshold, gain=gain)
+            mask = X[idx, node["feature"]] <= threshold
+            node["children"] = ({"idx": idx[mask]}, {"idx": idx[~mask]})
+            level += node["children"]
+    records, stack = [], [(root, None)]
+    while stack:
+        node, right_of = stack.pop()
+        if right_of is not None:
+            right_of["right"] = len(records)
+        record = {key: node[key] for key in ("value", "n", "feature", "threshold", "gain")
+                  if key in node}
+        records.append(record)
+        if "children" in node:
+            record["left"] = len(records)
+            left, right = node["children"]
+            stack += [(right, record), (left, None)]
+    return tree_from_records(records)
 
 
 def assert_same_tree(tree, expected):
@@ -152,6 +172,56 @@ def test_forest_equals_trees_grown_one_at_a_time(case):
         expected = reference_tree(X[rows], y[rows], max_depth=params["max_depth"],
                                   min_leaf=params["min_leaf"], mtry=params["mtry"], rng=rng)
         assert_same_tree(tree, expected)
+
+
+def tree_depth(tree) -> int:
+    depth, stack = 0, [(0, 0)]
+    while stack:
+        k, d = stack.pop()
+        depth = max(depth, d)
+        if tree.left[k] >= 0:
+            stack += [(tree.left[k], d + 1), (tree.right[k], d + 1)]
+    return depth
+
+
+def test_forest_draws_once_per_tree_and_level(monkeypatch):
+    class Counting:
+        """A generator that counts the calls made to it."""
+
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            def counted(*args, **kwargs):
+                self.calls += 1
+                return getattr(self.rng, name)(*args, **kwargs)
+            return counted
+
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(Counting(real(seed))) or made[-1])
+    rng = real(7)
+    X = rng.normal(size=(300, 6))
+    y = (X[:, 0] + rng.normal(size=300) > 0).astype(float)
+    forest = train_random_forest(X, y, n_trees=5, seed=2)
+    assert len(made) == len(forest.trees)
+    for spy, tree in zip(made, forest.trees):
+        bound = 1 + tree_depth(tree) + 1  # the bootstrap, then one draw per level at most
+        assert spy.calls <= bound
+        # one draw per node that splits would be over it
+        assert int((tree.left >= 0).sum()) > 2 * bound
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_a_tree_does_not_depend_on_the_trees_beside_it(threads):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(150, 5))
+    y = (X[:, 0] - X[:, 2] + rng.normal(size=150) > 0).astype(float)
+    few = train_random_forest(X, y, n_trees=3, seed=4, threads=threads)
+    many = train_random_forest(X, y, n_trees=8, seed=4, threads=threads)
+    for t in range(3):
+        assert_same_tree(few.trees[t], many.trees[t])
 
 
 @st.composite
