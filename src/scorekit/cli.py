@@ -207,10 +207,9 @@ def cmd_split(args, config) -> int:
 
 def cmd_select(args, config) -> int:
     out_dir = Path(args.out)
-    splits, _ = _load_splits_checked(out_dir)
     sel = config["selection"]
     report = run_selection(
-        splits.train,
+        _load_part(out_dir, "train", None),
         unique_threshold=sel["unique_threshold"],
         top_k=sel["top_k"],
         min_ks=sel["min_ks"],
@@ -361,12 +360,9 @@ def _split_dir_checked(out_dir) -> Path:
     return split_dir
 
 
-def _load_splits_checked(out_dir):
-    return load_splits(_split_dir_checked(out_dir))
-
-
 def _load_part(out_dir, part_name: str, columns) -> Dataset:
-    """Split part `part_name`, parsing of its schema columns only `columns`."""
+    """Split part `part_name`, parsing of its schema columns only `columns`
+    (all when None)."""
     split_dir = _split_dir_checked(out_dir)
     manifest = read_split_manifest(split_dir)
     if part_name not in manifest["files"]:
@@ -379,6 +375,14 @@ def cmd_explain(args, config) -> int:
     ecfg = config["explain"]
     what = args.what
     model_paths = args.model
+    # the flags naming what to explain that each explainer reads
+    reads = {"pfi": (), "pdp": ("feature", "feature2"), "cp": ("feature", "instance"),
+             "bd": ("instance",)}[what]
+    for flag in ("feature", "feature2", "instance"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise BadParameter("--%s: %s does not read it (it reads %s)"
+                               % (flag, what, " and ".join("--" + f for f in reads)
+                                  or "none of --feature, --feature2 and --instance"))
     if len(model_paths) > 1 and (what != "pdp" or args.feature2):
         raise BadParameter("--model: %s explains one model, got %d (only a 1-D pdp "
                            "overlays several)" % (what, len(model_paths)))

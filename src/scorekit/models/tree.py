@@ -37,12 +37,18 @@ memory and never reach the model file.
 The compiled form also scores the explainers' runs of substitutions, each
 one column set and many values for it, as they come: a row's mask is an
 AND over features, so the features a run leaves alone are matched once per
-row and only the substituted values once per variant. Each tree model
-gives only its base, rate and link.
+row and only the substituted values once per variant. A run of two or more
+variants whose values are the same for every row (a grid) is scored by
+mask class: a tree's leaf depends on such a variant only through the mask
+its substituted values give in that tree, so exit leaves and leaf values
+are found once per (tree, distinct mask) and row. Every other run is
+scored per variant and row, in blocks. Each tree model gives only its
+base, rate and link.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -491,7 +497,8 @@ def predict_tree(tree: Tree, X) -> np.ndarray:
 # its mask matrix, one a tree for trees of up to 8 leaves. It bounds the
 # block's working arrays, a few of the mask's size; smaller blocks pay more
 # numpy calls per row, since the sum over trees is one call per tree and
-# block, and larger ones run out of cache
+# block, and larger ones run out of cache. It also bounds the bytes of the
+# leaf values of one batch of mask classes (see score_runs)
 SCORE_CELLS = 1 << 18
 
 # bytes of the compiled tables (prefix-AND tables and row indices) of one
@@ -562,9 +569,25 @@ class BitVectorTrees:
         twice takes its last value. Per block of rows of X, every feature is
         searched once per row, and per group of trees each run ANDs the
         tables of the features it leaves alone once per row. The substituted
-        values are searched once per variant and value and ANDed into that,
-        in blocks of variants, of any runs, of at most SCORE_CELLS mask
-        bytes.
+        values are searched once per variant and value. A run then takes one
+        of two paths, by its shape alone:
+
+          - the class path, for a run of at least two variants whose values
+            broadcast over the rows (shape (variants, 1, columns): grid
+            steps). A variant's substituted tables AND to one mask a tree,
+            with no row axis, and a tree's leaf depends on the variant only
+            through that mask: the variants giving a tree one mask are one
+            class. Exit leaves and leaf values are found once per (tree,
+            class) and row, in batches of trees whose values take at most
+            SCORE_CELLS bytes (or one tree's, when they alone take more),
+            and each variant adds its class's values;
+          - the block path, for every other run (one variant, or one value
+            per row): the substituted tables are ANDed into the kept ones
+            per variant and row, in blocks of variants, of any consecutive
+            such runs, of at most SCORE_CELLS mask bytes.
+
+        Either way every (variant, row) adds the same leaf values in tree
+        order, so the path changes no bit.
 
         searchsorted(side="left") counts the thresholds strictly below x, so
         x == t passes a test and NaN, sorted last, fails every one: the `<=`
@@ -578,6 +601,17 @@ class BitVectorTrees:
         ends = list(itertools.accumulate(sizes))
         firsts = [end - size for end, size in zip(ends, sizes)]
         run_of = [r for r, size in enumerate(sizes) for _ in range(size)]
+        # the class-path runs, and (first, end) of the variants of each
+        # stretch of consecutive block-path runs: a class-path run, of two
+        # variants at least, leaves a gap between stretches
+        classed, stretches = [], []
+        for r, (_, values) in enumerate(runs):
+            if values.shape[1] == 1 and len(values) > 1:
+                classed.append(r)
+            elif stretches and stretches[-1][1] == firsts[r]:
+                stretches[-1] = (stretches[-1][0], ends[r])
+            else:
+                stretches.append((firsts[r], ends[r]))
         out = np.empty((len(run_of), X.shape[0]))
         for start in range(0, X.shape[0], step):
             block = X[start:start + step]
@@ -594,15 +628,19 @@ class BitVectorTrees:
                                                       side="left")
                              for i, j in enumerate(columns) if j in slot})
             per_block = max(1, step // rows)  # variants a mask block
+            blocks = [(lo, min(lo + per_block, end)) for begin, end in stretches
+                      for lo in range(begin, end, per_block)]
             acc = np.full((len(run_of), rows), base)
             for first, group in zip(range(0, len(scaled), self.group_size), self.groups):
                 group_values = scaled[first:first + self.group_size]
                 width = len(group_values) * self.words
                 tables = [(k, table, below[k] if index is None else index.take(below[k]),
                            index) for k, index, table in group]
+                for r in classed:
+                    self._add_by_class(acc[firsts[r]:ends[r]], group_values,
+                                       *self._kept(tables, subs[r], rows, width))
                 held = None  # (run, what _kept gives for it)
-                for lo in range(0, len(run_of), per_block):
-                    hi = min(lo + per_block, len(run_of))
+                for lo, hi in blocks:
                     mask = None
                     for r in range(run_of[lo], run_of[hi - 1] + 1):
                         if held is None or held[0] != r:
@@ -627,6 +665,50 @@ class BitVectorTrees:
             out[:, start:start + step] = acc
         return out
 
+    def _add_by_class(self, acc, group_values, kept, changed):
+        """Add a group's leaf values to acc, (variants, rows), for a run of
+        the class path, given what _kept gives for the run.
+
+        A (tree, variant) pair's class is its tree and the tree's words of
+        the variant's substituted AND; the classes are found by one lexsort
+        of the pairs by (tree, mask words), any number of words. Per batch
+        of whole trees, each tree in turn adds its classes' values, one row
+        per variant."""
+        n_trees, leaves = group_values.shape
+        variants, rows = acc.shape
+        words = self.words
+        sub = np.full((variants, words * n_trees), np.iinfo(self.dtype).max, self.dtype)
+        for at, table in changed:
+            sub &= table.take(at[:, 0], axis=0)
+        # (tree, variant) pairs, tree-major, and their words
+        pair = sub.reshape(variants, words, n_trees).transpose(2, 0, 1).reshape(-1, words)
+        tree = np.arange(n_trees).repeat(variants)
+        order = np.lexsort((*pair.T, tree))
+        pair, tree = pair[order], tree[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (tree[1:] != tree[:-1]) | (pair[1:] != pair[:-1]).any(axis=1)
+        class_of = np.empty(len(order), dtype=np.intp)
+        class_of[order] = np.cumsum(new) - 1
+        class_of = class_of.reshape(n_trees, variants)
+        class_tree, class_mask = tree[new], pair[new]
+        # tree t's classes are class_start[t] .. class_start[t + 1] - 1
+        class_start = np.searchsorted(class_tree, np.arange(n_trees + 1)).tolist()
+        per_batch = max(1, SCORE_CELLS // (rows * group_values.itemsize))
+        kept = kept.reshape(rows, words, n_trees)
+        t0 = 0
+        while t0 < n_trees:
+            c0 = class_start[t0]
+            t1 = max(t0 + 1, bisect.bisect_right(class_start, c0 + per_batch) - 1)
+            c1 = class_start[t1]
+            trees = class_tree[c0:c1]
+            mask = kept[:, :, trees]  # (rows, words, classes): word-major, as a group's
+            mask &= class_mask[c0:c1].T
+            leaf = self._exit_leaves(mask.reshape(rows, -1))
+            values = group_values.reshape(-1).take(leaf + (trees * leaves)[:, None])
+            for local in class_of[t0:t1] - c0:  # tree by tree
+                acc += values.take(local, axis=0)
+            t0 = t1
+
     def _kept(self, tables, subs, rows, width):
         """A run's part of a group's masks: the (rows, width) AND of the
         tables of the features it leaves alone, and (table rows per variant,
@@ -643,7 +725,8 @@ class BitVectorTrees:
     def _exit_leaves(self, mask) -> np.ndarray:
         """(trees, rows): the number of each row's exit leaf in each tree of
         a group, from the group's (rows, words * trees) masks, which it
-        overwrites."""
+        overwrites; or, from (rows, words * classes) masks, in the tree of
+        each class."""
         # within a word, the count of zero bits below the lowest set one (all
         # if none): the set bits of ~m & (m - 1), computed in place
         low = mask - self.dtype(1)

@@ -404,6 +404,33 @@ class TestTrainPredictExplainReport:
         assert code == 2
         assert "unknown split part 'validation'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, flag, what", [
+        (["--what", "cp", "--feature", "inf_01", "--instance", 1, "--feature2", "inf_02"],
+         "feature2", "cp"),
+        (["--what", "pfi", "--feature2", "inf_02"], "feature2", "pfi"),
+        (["--what", "bd", "--instance", 1, "--feature", "inf_01"], "feature", "bd"),
+        (["--what", "pdp", "--feature", "inf_01", "--instance", 3], "instance", "pdp"),
+    ], ids=["cp-feature2", "pfi-feature2", "bd-feature", "pdp-instance"])
+    def test_explain_flag_its_explainer_does_not_read_exit_2(self, pipeline_dir, capsys,
+                                                              args, flag, what):
+        cfg = pipeline_dir / "config.yaml"
+        assert run("train", "--family", "tree", "--config", cfg, "--out", pipeline_dir) == 0
+        capsys.readouterr()
+        assert run("explain", *args, "--model", pipeline_dir / "model_tree.json",
+                   "--config", cfg, "--out", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BadParameter: --%s: %s does not read it" % (flag, what))
+        assert err.count("\n") == 1
+        assert not list(pipeline_dir.glob("explain_*"))
+
+    def test_select_reads_only_the_train_part(self, pipeline_dir):
+        written = {name: (pipeline_dir / name).read_bytes()
+                   for name in ("selection.json", "features.txt")}
+        for name in ("test", "out_of_sample", "out_of_time"):
+            (pipeline_dir / "splits" / ("%s.csv" % name)).unlink()
+        assert run("select", "--config", pipeline_dir / "config.yaml", "--out", pipeline_dir) == 0
+        assert {name: (pipeline_dir / name).read_bytes() for name in written} == written
+
     def test_non_finite_scores_exit_2(self, pipeline_dir, capsys):
         cfg = pipeline_dir / "config.yaml"
         assert run("train", "--family", "logistic", "--config", cfg,

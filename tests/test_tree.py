@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorekit.models import (
@@ -351,7 +351,8 @@ def variant_cases(draw):
     leaves), rows of NaN, +-inf and threshold values, and runs of
     substitutions as the explainers make them: constant and per-row values,
     one or several columns, columns no tree splits on, and column sets that
-    repeat across runs."""
+    repeat across runs. Constant runs of 21 values, as the explainers' grid
+    steps are, give the trees' masks classes of many variants."""
     kind = draw(st.sampled_from(["tree", "forest", "gbm", "xgb"]))
     split_on = draw(st.integers(1, 4))
     p = split_on + draw(st.integers(0, 2))  # trailing features no tree splits on
@@ -369,8 +370,8 @@ def variant_cases(draw):
         else:
             columns = draw(st.permutations(range(p)))[:draw(st.integers(1, p))]
         rows = n if draw(st.booleans()) else 1  # per-row values, or one row for all
-        runs.append((columns, rng.choice(cells, size=(draw(st.integers(1, 4)), rows,
-                                                      len(columns)))))
+        variants = draw(st.integers(1, 4)) if rows > 1 or draw(st.booleans()) else 21
+        runs.append((columns, rng.choice(cells, size=(variants, rows, len(columns)))))
     factor = draw(st.sampled_from([0, 1.0, 2.5, None]))
     budget = (tree_module.TABLE_BYTES if factor is None
               else int(factor * smallest_layout_bytes(trees)))
@@ -379,6 +380,11 @@ def variant_cases(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(case=variant_cases())
+# a block of 7 mask bytes holds a one-variant run and a run of two
+# constant variants that is scored by class: its variants are added once
+@example(case=("tree", [tree_from_records([{"value": 0.7, "n": 0}])], np.array([[0.25]]),
+               [([0], np.array([[[1.0]]])), ([0], np.array([[[-1.0]], [[2.0]]]))],
+               tree_module.TABLE_BYTES, 7))
 def test_predict_variants_matches_stacked_predict_proba(case):
     kind, trees, X, runs, budget, cells = case
     names = ["x%d" % j for j in range(X.shape[1])]
@@ -395,6 +401,31 @@ def test_predict_variants_matches_stacked_predict_proba(case):
         assert (model.bit_trees is None) == (budget < smallest_layout_bytes(trees))
     assert scores.shape == (sum(len(values) for _, values in runs), X.shape[0])
     assert scores.tobytes() == Predictor.predict_variants(model, X, runs).tobytes()
+
+
+@pytest.mark.parametrize("cells", [64, 4096, tree_module.SCORE_CELLS])
+def test_2d_grid_runs_on_wide_grouped_forest_match_stacked_predict_proba(cells):
+    # trees of 130 leaves take three mask words; the budget of groups of two
+    # trees cuts the forest into three groups; a small SCORE_CELLS cuts a
+    # group's classes into batches
+    rng = np.random.default_rng(3)
+    trees = [grid_tree(rng, 130, 3) for _ in range(6)]
+    X = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.25, -2.0, 2.0] + GRID), size=(50, 3))
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 17), [np.nan, -np.inf, np.inf, 2.0]])
+    # one run per value of x0, as partial_dependence_2d steps, and the whole
+    # 21 x 21 grid as one run
+    runs = [([0, 2], np.column_stack([np.full(len(grid), z), grid])[:, None, :])
+            for z in grid]
+    runs.append(([0, 2], np.array([[a, b] for a in grid for b in grid])[:, None, :]))
+    forest = make_model("forest", trees, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "TABLE_BYTES", layout_bytes(trees, 2))
+        mp.setattr(tree_module, "SCORE_CELLS", cells)
+        assert forest.bit_trees.words == 3
+        assert len(forest.bit_trees.groups) == 3
+        scores = forest.predict_variants(X, runs)
+    assert scores.shape == (21 * 21 * 2, 50)
+    assert scores.tobytes() == Predictor.predict_variants(forest, X, runs).tobytes()
 
 
 def test_over_budget_forest_walks_to_the_same_bytes():
