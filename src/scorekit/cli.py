@@ -44,7 +44,7 @@ from .data import (
     CATEGORICAL,
     NUMERIC,
 )
-from .errors import BadParameter, ScorekitError, UnknownColumn
+from .errors import BadParameter, OneClassOnly, ScorekitError, UnknownColumn
 from .explain import (
     break_down,
     ceteris_paribus,
@@ -294,7 +294,12 @@ def cmd_train(args, config) -> int:
         if name not in schema:
             raise UnknownColumn(name)
     reject_models([], config["models"]["min_gini"])  # range-checks min_gini before the fit
-    splits, _ = load_splits(split_dir, columns=names)  # parses only the model's columns
+    splits, manifest = load_splits(split_dir, columns=names)  # parses only the model's columns
+    n_bad = int(splits.train.target.sum())
+    if n_bad in (0, splits.train.n_rows):
+        raise OneClassOnly("%s: a model needs both classes, got %d rows of class 0 and %d of "
+                           "class 1" % (split_dir / manifest["files"]["train"],
+                                        splits.train.n_rows - n_bad, n_bad))
 
     t0 = time.perf_counter()
     model, train_config = train_family(family, splits, names, config,

@@ -31,7 +31,8 @@ class EmptyPartition(ScorekitError):
 
 
 class OneClassOnly(ScorekitError):
-    """A discrimination metric needs both classes present."""
+    """A discrimination metric or a model's train part needs both classes
+    present."""
 
 
 class SingularHessian(ScorekitError):

@@ -7,16 +7,61 @@ is what makes the explainers model-agnostic. `predict_variants` scores
 runs of column substitutions of one matrix at once, each run one column
 set and many values for it, the explainers' unit of work; by default it
 stacks them into `predict_proba` calls.
+
+Every trainer checks its parameters against one table of rules,
+`check_params`, before it fits.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
+
+from ..errors import BadParameter
 
 
 def sigmoid(z):
     z = np.clip(z, -45.0, 45.0)
     return 1.0 / (1.0 + np.exp(-z))
+
+
+# each parameter's rule, as the error states it, and its test; a (family,
+# name) key overrides the name's rule for that family
+PARAM_RULES = {
+    # zero rounds is a valid base-rate model
+    "n_trees": ("an integer n_trees >= 0", lambda v: isinstance(v, numbers.Integral) and v >= 0),
+    # a forest of no trees has no mean
+    ("forest", "n_trees"): ("an integer n_trees >= 1",
+                            lambda v: isinstance(v, numbers.Integral) and v >= 1),
+    "learning_rate": ("a finite learning_rate > 0", lambda v: v > 0 and math.isfinite(v)),
+    "max_depth": ("max_depth >= 0", lambda v: v >= 0),
+    "min_leaf": ("min_leaf >= 1", lambda v: v >= 1),
+    "mtry": ("mtry >= 1", lambda v: v >= 1),  # above p it means p
+    "subsample": ("subsample in (0, 1]", lambda v: 0 < v <= 1),
+    "colsample": ("colsample in (0, 1]", lambda v: 0 < v <= 1),
+    "lam": ("lam >= 0", lambda v: v >= 0),
+    "gamma": ("gamma >= 0", lambda v: v >= 0),
+    "max_iter": ("max_iter >= 1", lambda v: v >= 1),
+    "tol": ("tol > 0", lambda v: v > 0),
+    "ridge": ("ridge >= 0", lambda v: v >= 0),
+    "max_bins": ("max_bins >= 2", lambda v: v >= 2),
+    "min_bin_frac": ("min_bin_frac in [0, 1)", lambda v: 0 <= v < 1),
+    "smoothing": ("smoothing >= 0", lambda v: v >= 0),
+}
+
+
+def check_params(family, **params):
+    """BadParameter naming the family and the first parameter that is not a
+    number or fails its rule (NaN fails every rule). max_depth None grows
+    trees of any depth, and mtry None takes the forest's default."""
+    for name, value in params.items():
+        if name in ("max_depth", "mtry") and value is None:
+            continue
+        rule, ok = PARAM_RULES.get((family, name)) or PARAM_RULES[name]
+        if not (isinstance(value, numbers.Real) and ok(value)):
+            raise BadParameter("%s needs %s, got %r" % (family, rule, value))
 
 
 # Largest number of cells (rows x columns) stacked into one predict_proba

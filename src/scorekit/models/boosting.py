@@ -8,22 +8,20 @@ sum(r) / sum(p(1-p)); the xgb variant grows trees directly on gradients
 g = p - y and hessians h = p(1-p) with the regularized split gain and
 leaf weight -G/(H+lambda).
 
-A fit builds one RankTable of X and grows every round's tree on it: the
-round's subsample is the tree's root rows, and xgb's colsample its
-candidate columns. The grower reports the leaf each subsample row ends in,
-which gives gbm's Newton step and those rows' score update; only the rows
-outside the subsample are walked down the tree.
+Both run one round loop (`_boost`). A fit builds one RankTable of X; each
+round takes p = sigmoid(score), a generator seeded (seed, round), the
+round's row subsample from it, and hands these to the variant's round step,
+which grows the round's tree on the subsample (xgb first draws its colsample
+columns from the same generator). The grower reports the leaf each
+subsample row ends in, which gives gbm's Newton step and those rows' score
+update; only the rows outside the subsample are walked down the tree.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from ..errors import BadParameter
-from .base import sigmoid
+from .base import check_params, sigmoid
 from .tree import LEAF_CLIP, RankTable, TreeModel, grow_trees, predict_tree
 
 
@@ -68,32 +66,6 @@ def _subsample_rows(rng, n, fraction):
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-# each parameter's rule, as the error states it, and its test
-PARAM_RULES = {
-    # zero rounds is a valid base-rate model
-    "n_trees": ("an integer n_trees >= 0", lambda v: isinstance(v, numbers.Integral) and v >= 0),
-    "learning_rate": ("a finite learning_rate > 0", lambda v: v > 0 and math.isfinite(v)),
-    "max_depth": ("max_depth >= 0", lambda v: v >= 0),
-    "min_leaf": ("min_leaf >= 1", lambda v: v >= 1),
-    "subsample": ("subsample in (0, 1]", lambda v: 0 < v <= 1),
-    "colsample": ("colsample in (0, 1]", lambda v: 0 < v <= 1),
-    "lam": ("lam >= 0", lambda v: v >= 0),
-    "gamma": ("gamma >= 0", lambda v: v >= 0),
-}
-
-
-def _check_params(variant, **params):
-    """BadParameter naming the first parameter that is not a number or
-    fails its rule (NaN fails every rule). max_depth None grows trees of
-    any depth."""
-    for name, value in params.items():
-        if name == "max_depth" and value is None:
-            continue
-        rule, ok = PARAM_RULES[name]
-        if not (isinstance(value, numbers.Real) and ok(value)):
-            raise BadParameter("%s needs %s, got %r" % (variant, rule, value))
-
-
 def _grow_round(table, a, b, rows, **params):
     """One round's tree, grown on the rows `rows` of the table's X, and the
     leaf each of those rows ends in."""
@@ -114,17 +86,11 @@ def _round_values(tree, X, rows, leaf_of):
     return values
 
 
-def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
-              subsample=1.0, seed=0, feature_names=None) -> BoostedModel:
-    """Gradient boosting with squared-error trees and Newton leaf updates.
-
-    Each round fits a tree to the residuals r = y - p on a seeded row
-    subsample, then sets every leaf to sum(r)/sum(p(1-p)) over its
-    subsample rows. A leaf whose denominator vanishes would take an
-    infinite log-odds step; it is clipped to +/-LEAF_CLIP instead.
-    """
-    _check_params("gbm", n_trees=n_trees, learning_rate=learning_rate, max_depth=max_depth,
-                  min_leaf=min_leaf, subsample=subsample)
+def _boost(variant, round_step, X, y, n_trees, learning_rate, subsample, seed,
+           feature_names, **model_args) -> BoostedModel:
+    """The round loop of both variants. round_step(table, y, prob, rows,
+    rng) grows a round's tree on the subsample `rows` and returns it with
+    the leaf each of those rows ends in; it may draw more from `rng`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -134,16 +100,34 @@ def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
     f0 = log_odds(float(np.mean(y)))
     score = np.full(n, f0)
     table = RankTable(X)
-    trees = []
-    losses = []
+    model = BoostedModel(f0, [], learning_rate, feature_names, variant=variant, **model_args)
     for t in range(n_trees):
         prob = sigmoid(score)
-        resid = y - prob
         rng = np.random.default_rng((seed, t))
         rows = _subsample_rows(rng, n, subsample)
+        tree, leaf_of = round_step(table, y, prob, rows, rng)
+        model.trees.append(tree)
+        score = score + learning_rate * _round_values(tree, X, rows, leaf_of)
+        model.train_loss_.append(log_loss(y, sigmoid(score)))
+    return model
+
+
+def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
+              subsample=1.0, seed=0, feature_names=None) -> BoostedModel:
+    """Gradient boosting with squared-error trees and Newton leaf updates.
+
+    Each round fits a tree to the residuals r = y - p on a seeded row
+    subsample, then sets every leaf to sum(r)/sum(p(1-p)) over its
+    subsample rows. A leaf whose denominator vanishes would take an
+    infinite log-odds step; it is clipped to +/-LEAF_CLIP instead.
+    """
+    check_params("gbm", n_trees=n_trees, learning_rate=learning_rate, max_depth=max_depth,
+                 min_leaf=min_leaf, subsample=subsample)
+
+    def newton_round(table, y, prob, rows, rng):
+        resid = y - prob
         tree, leaf_of = _grow_round(table, resid, None, rows, objective="mse",
                                     max_depth=max_depth, min_leaf=min_leaf)
-
         weight = (prob * (1.0 - prob))[rows]
         r_sub = resid[rows]
         for k in np.flatnonzero(tree.left < 0):
@@ -154,17 +138,12 @@ def train_gbm(X, y, n_trees=100, learning_rate=0.1, max_depth=3, min_leaf=20,
                 tree.value[k] = 0.0 if num == 0.0 else np.copysign(LEAF_CLIP, num)
             else:
                 tree.value[k] = num / den
-        trees.append(tree)
-        score = score + learning_rate * _round_values(tree, X, rows, leaf_of)
-        losses.append(log_loss(y, sigmoid(score)))
+        return tree, leaf_of
 
-    model = BoostedModel(f0, trees, learning_rate, feature_names,
-                         variant="gbm",
-                         params={"n_trees": n_trees, "max_depth": max_depth,
-                                 "min_leaf": min_leaf, "subsample": subsample,
-                                 "seed": seed})
-    model.train_loss_ = losses
-    return model
+    return _boost("gbm", newton_round, X, y, n_trees, learning_rate, subsample, seed,
+                  feature_names, params={"n_trees": n_trees, "max_depth": max_depth,
+                                         "min_leaf": min_leaf, "subsample": subsample,
+                                         "seed": seed})
 
 
 def train_xgb(X, y, n_trees=100, learning_rate=0.1, max_depth=3, lam=1.0,
@@ -177,51 +156,30 @@ def train_xgb(X, y, n_trees=100, learning_rate=0.1, max_depth=3, lam=1.0,
     leaf weights toward zero. Realized split gains are summed per feature
     into feature_gain_ (the importance used for variable preselection).
     """
-    _check_params("xgb", n_trees=n_trees, learning_rate=learning_rate, max_depth=max_depth,
-                  lam=lam, gamma=gamma, subsample=subsample, colsample=colsample)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if feature_names is None:
-        feature_names = ["x%d" % j for j in range(p)]
+    check_params("xgb", n_trees=n_trees, learning_rate=learning_rate, max_depth=max_depth,
+                 lam=lam, gamma=gamma, subsample=subsample, colsample=colsample)
 
-    f0 = log_odds(float(np.mean(y)))
-    score = np.full(n, f0)
-    table = RankTable(X)
-    trees = []
-    losses = []
-    gains = np.zeros(p)
-    for t in range(n_trees):
-        prob = sigmoid(score)
-        grad = prob - y
-        hess = prob * (1.0 - prob)
-        rng = np.random.default_rng((seed, t))
-        rows = _subsample_rows(rng, n, subsample)
+    def gradient_round(table, y, prob, rows, rng):
         cols = None
         if colsample < 1.0:
-            k = max(1, int(round(colsample * p)))
-            cols = np.sort(rng.choice(p, size=k, replace=False))
-        tree, leaf_of = _grow_round(table, grad, hess, rows, objective="grad",
-                                    max_depth=max_depth, min_leaf=1, cols=cols,
-                                    lam=lam, gamma=gamma)
-        internal = tree.left >= 0
-        # add gains in one fixed order (root, then the right subtree before
-        # the left): float sums depend on it, and feature_gain_ ranks features
+            p = len(table.XT)
+            cols = np.sort(rng.choice(p, size=max(1, int(round(colsample * p))), replace=False))
+        return _grow_round(table, prob - y, prob * (1.0 - prob), rows, objective="grad",
+                           max_depth=max_depth, min_leaf=1, cols=cols, lam=lam, gamma=gamma)
+
+    model = _boost("xgb", gradient_round, X, y, n_trees, learning_rate, subsample, seed,
+                   feature_names, lam=lam, gamma=gamma,
+                   params={"n_trees": n_trees, "max_depth": max_depth,
+                           "subsample": subsample, "colsample": colsample, "seed": seed})
+    # add gains round by round, each in one fixed order (root, then the right
+    # subtree before the left): float sums depend on it, and feature_gain_
+    # ranks features
+    model.feature_gain_ = np.zeros(np.shape(X)[1])
+    for tree in model.trees:
         stack = [0]
         while stack:
             k = stack.pop()
-            if internal[k]:
-                gains[tree.feature[k]] += tree.gain[k]
+            if tree.left[k] >= 0:
+                model.feature_gain_[tree.feature[k]] += tree.gain[k]
                 stack += (tree.left[k], tree.right[k])
-        trees.append(tree)
-        score = score + learning_rate * _round_values(tree, X, rows, leaf_of)
-        losses.append(log_loss(y, sigmoid(score)))
-
-    model = BoostedModel(f0, trees, learning_rate, feature_names,
-                         variant="xgb", lam=lam, gamma=gamma,
-                         params={"n_trees": n_trees, "max_depth": max_depth,
-                                 "subsample": subsample, "colsample": colsample,
-                                 "seed": seed})
-    model.train_loss_ = losses
-    model.feature_gain_ = gains
     return model

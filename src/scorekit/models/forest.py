@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from ..errors import ScorekitError
+from .base import check_params
 from .tree import RankTable, TreeModel, grow_trees
 
 
@@ -45,8 +44,7 @@ def train_random_forest(X, y, n_trees=100, mtry=None, max_depth=None,
     (`grow_trees`), so a tree depends neither on thread count nor on the
     trees grown beside it. y must be 0/1.
     """
-    if not isinstance(n_trees, numbers.Integral) or n_trees < 1:
-        raise ScorekitError("a forest needs an integer n_trees >= 1, got %r" % (n_trees,))
+    check_params("forest", n_trees=n_trees, mtry=mtry, max_depth=max_depth, min_leaf=min_leaf)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape

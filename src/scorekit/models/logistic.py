@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularHessian
-from .base import Predictor, sigmoid
+from .base import Predictor, check_params, sigmoid
 
 
 class LogisticModel(Predictor):
@@ -36,6 +36,7 @@ def train_logistic(X, y, tol: float = 1e-8, max_iter: int = 100,
     max_iter with converged=False and finite weights. Convergence is
     declared when no coefficient moves by more than `tol`.
     """
+    check_params("logistic", tol=tol, max_iter=max_iter, ridge=ridge)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.isfinite(X).all():

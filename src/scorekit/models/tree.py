@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ScorekitError
-from .base import Predictor
+from .base import Predictor, check_params
 
 
 @dataclass(eq=False)
@@ -132,14 +132,16 @@ def _prefix_sums(v, starts, ends, exact):
     node's totals: the frontier's running sums, restarted at every node.
     With `exact` (integer-valued sums, as of 0/1 targets) a node's running
     sum is the frontier's less its value before the node; float sums would
-    round differently, so they are summed again node by node."""
-    run = v.cumsum(axis=1)
-    if len(starts) > 1 and exact:
-        before = run.take(starts - 1, axis=1)
-        before[:, 0] = 0.0
-        run -= before.repeat(ends - starts, axis=1)
-    elif len(starts) > 1:
-        for s, e in zip(starts[1:].tolist(), ends[1:].tolist()):
+    round differently, so they are summed node by node."""
+    if exact:
+        run = v.cumsum(axis=1)
+        if len(starts) > 1:
+            before = run.take(starts - 1, axis=1)
+            before[:, 0] = 0.0
+            run -= before.repeat(ends - starts, axis=1)
+    else:
+        run = np.empty_like(v)
+        for s, e in zip(starts.tolist(), ends.tolist()):
             v[:, s:e].cumsum(axis=1, out=run[:, s:e])
     return run, run.take(ends - 1, axis=1)
 
@@ -917,6 +919,7 @@ class DecisionTree(TreeModel):
 
 def train_tree(X, y, max_depth=None, min_leaf=1, feature_names=None) -> DecisionTree:
     """Greedy best-split CART; stops on depth, min_leaf, or zero gain."""
+    check_params("tree", max_depth=max_depth, min_leaf=min_leaf)
     X = np.asarray(X, dtype=float)
     if feature_names is None:
         feature_names = ["x%d" % j for j in range(X.shape[1])]

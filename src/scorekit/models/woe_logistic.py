@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..woe import fit_woe_tables, woe_transform
-from .base import Predictor
+from .base import Predictor, check_params
 from .logistic import LogisticModel, train_logistic
 
 
@@ -41,6 +41,8 @@ class WoeLogisticModel(Predictor):
 def train_woe_logistic(dataset, features=None, max_bins=10, min_bin_frac=0.05,
                        smoothing=0.5) -> WoeLogisticModel:
     """Fit WOE tables on the given (training) dataset, then logistic on top."""
+    check_params("logistic_woe", max_bins=max_bins, min_bin_frac=min_bin_frac,
+                 smoothing=smoothing)
     names = dataset.feature_names if features is None else list(features)
     tables = fit_woe_tables(dataset.select(names), max_bins=max_bins,
                             min_bin_frac=min_bin_frac, smoothing=smoothing)

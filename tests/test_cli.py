@@ -110,6 +110,20 @@ class TestSynthSplitSelect:
         assert features == report["survivors_ks"]
 
 
+def assert_bad_model_param(pipeline_dir, capsys, family, key, value, message):
+    """`train` with models.<family>.<key> set to value exits 2 with one
+    stderr line, `message`, and writes no model file."""
+    cfg = pipeline_dir / "config.yaml"
+    config = yaml.safe_load(cfg.read_text())
+    config["models"][family][key] = value
+    cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+    capsys.readouterr()
+    assert run("train", "--family", family, "--config", cfg, "--out", pipeline_dir) == 2
+    err = capsys.readouterr().err
+    assert err == "error: BadParameter: %s\n" % message
+    assert not (pipeline_dir / ("model_%s.json" % family)).exists()
+
+
 class TestTrainPredictExplainReport:
     def test_full_flow(self, pipeline_dir, capsys):
         cfg = pipeline_dir / "config.yaml"
@@ -222,14 +236,50 @@ class TestTrainPredictExplainReport:
             "min_leaf", "learning_rate_nan", "learning_rate_negative", "gamma"])
     def test_out_of_range_boosting_param_exit_2(self, pipeline_dir, capsys, family, key, value,
                                                 message):
-        cfg = pipeline_dir / "config.yaml"
-        config = yaml.safe_load(cfg.read_text())
-        config["models"][family][key] = value
-        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert_bad_model_param(pipeline_dir, capsys, family, key, value, message)
+
+    @pytest.mark.parametrize("family, key, value, message", [
+        ("forest", "mtry", 0, "forest needs mtry >= 1, got 0"),
+        ("forest", "mtry", -3, "forest needs mtry >= 1, got -3"),
+        ("tree", "max_depth", -1, "tree needs max_depth >= 0, got -1"),
+        ("forest", "max_depth", -1, "forest needs max_depth >= 0, got -1"),
+        ("tree", "min_leaf", 0, "tree needs min_leaf >= 1, got 0"),
+        ("logistic", "max_iter", 0, "logistic needs max_iter >= 1, got 0"),
+        ("logistic", "tol", 0.0, "logistic needs tol > 0, got 0.0"),
+        ("logistic", "ridge", -1.0, "logistic needs ridge >= 0, got -1.0"),
+        ("logistic_woe", "min_bin_frac", 1.5,
+         "logistic_woe needs min_bin_frac in [0, 1), got 1.5"),
+        ("logistic_woe", "max_bins", 1, "logistic_woe needs max_bins >= 2, got 1"),
+        ("logistic_woe", "smoothing", -1.0, "logistic_woe needs smoothing >= 0, got -1.0"),
+    ], ids=["forest_mtry_zero", "forest_mtry_negative", "tree_max_depth", "forest_max_depth",
+            "tree_min_leaf", "logistic_max_iter", "logistic_tol", "logistic_ridge",
+            "woe_min_bin_frac", "woe_max_bins", "woe_smoothing"])
+    def test_out_of_range_family_param_exit_2(self, pipeline_dir, capsys, family, key, value,
+                                              message):
+        # each of these fitted a constant or degenerate model, or crashed
+        assert_bad_model_param(pipeline_dir, capsys, family, key, value, message)
+
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_one_class_train_part_exit_2(self, pipeline_dir, capsys, monkeypatch, family):
+        train_csv = pipeline_dir / "splits" / "train.csv"
+        with open(train_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("default")
+        for row in rows[1:]:
+            row[col] = "0"
+        with open(train_csv, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a one-class train part must stop train before the fit")
+
+        monkeypatch.setattr(cli, "train_family", no_fit)
         capsys.readouterr()
-        assert run("train", "--family", family, "--config", cfg, "--out", pipeline_dir) == 2
+        assert run("train", "--family", family, "--config", pipeline_dir / "config.yaml",
+                   "--out", pipeline_dir) == 2
         err = capsys.readouterr().err
-        assert err == "error: BadParameter: %s\n" % message
+        assert err == ("error: OneClassOnly: %s: a model needs both classes, got %d rows of "
+                       "class 0 and 0 of class 1\n" % (train_csv, len(rows) - 1))
         assert not (pipeline_dir / ("model_%s.json" % family)).exists()
 
     def test_unknown_family_exit_2(self, pipeline_dir, capsys):
